@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import reducer, rpm3sat, verify
 from .board import parse_board, render_board
-from .errors import UnsatisfiedAssignment, ZhedError
+from .errors import ParseError, UnsatisfiedAssignment, ZhedError
 from .gadgets import isolated_board, make_threshold, make_variable, instantiate
 from .solver import (ResourceExhausted, Solvable, SolveLimits, Unsolvable,
                      parse_trace, render_trace, replay, solve)
@@ -45,7 +45,21 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
+def _budget(text: str) -> int:
+    """A --limits-* value: a non-negative integer, 0 meaning unlimited."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = unlimited), got {value}")
+    return value
 
 
 def _limits(args) -> SolveLimits:
@@ -220,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, margin=False):
-        p.add_argument("--limits-states", type=int, default=10_000_000,
+        p.add_argument("--limits-states", type=_budget, default=10_000_000,
                        metavar="N", help="solver state budget (0 = unlimited)")
-        p.add_argument("--limits-ms", type=int, default=0, metavar="N",
+        p.add_argument("--limits-ms", type=_budget, default=0, metavar="N",
                        help="solver wall-clock budget in ms (0 = unlimited)")
         if margin:
             p.add_argument("--margin", type=int, default=2,
@@ -297,8 +311,8 @@ def main(argv=None) -> int:
     except ZhedError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
+    except OSError as exc:  # missing file, directory given as a file, no permission
+        print(f"error: {type(exc).__name__.removesuffix('Error')}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -2,7 +2,8 @@
 
 The compiled Cython kernel is preferred; when the extension was not built
 the pure-Python kernel takes over with identical behavior.  Both expose
-solve(), explore(), ordered_moves(), apply_encoded() and the status codes.
+solve(), explore(), move_order(), ordered_moves(), apply_encoded() and the
+status codes.
 """
 
 try:
@@ -17,5 +18,6 @@ KERNEL = kernel.KERNEL
 
 solve = kernel.solve
 explore = kernel.explore
+move_order = kernel.move_order
 ordered_moves = kernel.ordered_moves
 apply_encoded = kernel.apply_encoded

@@ -3,11 +3,15 @@
 
 Mirror of search_slow.py: identical move ordering, memo policy and return
 codes, so the two kernels are interchangeable and produce the same
-classifications, witnesses and state counts.  The hot path applies moves
-into a scratch buffer, hashes it with an inline 128-bit FNV-1a variant and
-only materializes a bytes object when the child is genuinely new; memo keys
-match search_slow (raw cells when <= 64 bytes, 16-byte digest otherwise, at
-a collision probability far below hardware error rates).
+classifications, witnesses and state counts.  As there, move_order ranks the
+start board's moves once per search and ordered_moves filters that list at
+every node; search_slow.ordered_moves states why the filter is exact.  The
+hot path applies moves into a scratch buffer, hashes it with an inline
+128-bit FNV-1a variant and only materializes a bytes object when the child
+is genuinely new.  Memo keys are raw cells when <= 64 bytes and a 16-byte
+digest otherwise, as in search_slow, but the digest is FNV rather than
+blake2b; the kernels can differ only on a digest collision, whose
+probability is far below hardware error rates.
 """
 
 import time
@@ -55,46 +59,61 @@ cdef inline object _digest(const unsigned char *p, Py_ssize_t n):
     return PyBytes_FromStringAndSize(<const char *> out, 16)
 
 
-cdef list _ordered_moves(const unsigned char *p, int width, int height,
-                         int tr, int tc, bint prune_zero):
-    cdef int n = width * height
-    cdef int idx, r, c, d, rr, cc, dr, dc
+cdef list _move_order(const unsigned char *p, Py_ssize_t n, int width,
+                      int tr, int tc):
+    cdef list toward = []
+    cdef list away = []
+    cdef Py_ssize_t idx
+    cdef int r, c, d
     cdef unsigned char v
-    cdef bint effect, toward
-    cdef long key
-    cdef list keys = []
+    cdef bint ahead
     for idx in range(n):
         v = p[idx]
         if v == C_EMPTY or v == C_BLANK:
             continue
-        r = idx / width
-        c = idx % width
+        r = <int> (idx / width)
+        c = <int> (idx % width)
         for d in range(4):
-            dr = DR[d]
-            dc = DC[d]
-            rr = r + dr
-            cc = c + dc
-            effect = False
-            while 0 <= rr < height and 0 <= cc < width:
-                if p[rr * width + cc] == C_EMPTY:
-                    effect = True
-                    break
-                rr += dr
-                cc += dc
-            if (not effect) and prune_zero:
-                continue
-            toward = ((d == 0 and tr < r) or (d == 1 and tc > c)
-                      or (d == 2 and tr > r) or (d == 3 and tc < c))
-            key = ((<long> (0 if effect else 1)) << 21) \
-                | ((<long> (0 if toward else 1)) << 20) \
-                | (<long> idx << 2) | d
-            keys.append(key)
-    keys.sort()
-    cdef long mask = (1 << 20) - 1
-    cdef Py_ssize_t i
-    for i in range(len(keys)):
-        keys[i] = keys[i] & mask
-    return keys
+            ahead = ((d == 0 and tr < r) or (d == 1 and tc > c)
+                     or (d == 2 and tr > r) or (d == 3 and tc < c))
+            if ahead:
+                toward.append(idx * 4 + d)
+            else:
+                away.append(idx * 4 + d)
+    return toward + away
+
+
+cdef list _ordered_moves(const unsigned char *p, int width, int height,
+                         list order, bint prune_zero):
+    cdef list effective = []
+    cdef list idle = []
+    cdef Py_ssize_t i, idx
+    cdef long m
+    cdef int r, c, d, rr, cc, dr, dc
+    cdef bint effect
+    for i in range(len(order)):
+        move = order[i]
+        m = move
+        idx = m >> 2
+        if p[idx] == C_BLANK:
+            continue
+        d = <int> (m & 3)
+        dr = DR[d]
+        dc = DC[d]
+        rr = <int> (idx / width) + dr
+        cc = <int> (idx % width) + dc
+        effect = False
+        while 0 <= rr < height and 0 <= cc < width:
+            if p[rr * width + cc] == C_EMPTY:
+                effect = True
+                break
+            rr += dr
+            cc += dc
+        if effect:
+            effective.append(move)
+        elif not prune_zero:
+            idle.append(move)
+    return effective + idle
 
 
 cdef int _apply_into(unsigned char *out, const unsigned char *src, Py_ssize_t n,
@@ -123,10 +142,16 @@ cdef int _apply_into(unsigned char *out, const unsigned char *src, Py_ssize_t n,
     return count
 
 
-def ordered_moves(cells, int width, int height, int tr, int tc, bint prune_zero):
+def move_order(cells, int width, int tr, int tc):
+    cdef bytes data = bytes(cells)
+    return _move_order(<const unsigned char *> PyBytes_AS_STRING(data),
+                       len(data), width, tr, tc)
+
+
+def ordered_moves(cells, int width, int height, list order, bint prune_zero):
     cdef bytes data = bytes(cells)
     return _ordered_moves(<const unsigned char *> PyBytes_AS_STRING(data),
-                          width, height, tr, tc, prune_zero)
+                          width, height, order, prune_zero)
 
 
 def apply_encoded(cells, int width, int height, int move):
@@ -160,9 +185,9 @@ def solve(cells, int width, int height, int target, long max_states,
     cdef set memo = set()
     cdef long states = 0
     cdef list stack_cells = [root]
-    cdef list stack_moves = [_ordered_moves(
-        <const unsigned char *> PyBytes_AS_STRING(root), width, height,
-        tr, tc, prune_zero)]
+    cdef const unsigned char *rp = <const unsigned char *> PyBytes_AS_STRING(root)
+    cdef list order = _move_order(rp, n, width, tr, tc)
+    cdef list stack_moves = [_ordered_moves(rp, width, height, order, prune_zero)]
     cdef list stack_next = [0]
     cdef list path = []
     cdef long ticks = 0
@@ -202,7 +227,7 @@ def solve(cells, int width, int height, int target, long max_states,
             child = PyBytes_FromStringAndSize(<const char *> scratch, n)
             stack_cells.append(child)
             stack_moves.append(_ordered_moves(scratch, width, height,
-                                              tr, tc, prune_zero))
+                                              order, prune_zero))
             stack_next.append(0)
             path.append(move)
 
@@ -239,7 +264,8 @@ def explore(cells, int width, int height, int target, long max_states,
     cdef set memo = set()
     cdef long states = 0
     cdef list stack_cells = [root]
-    cdef list stack_moves = [_ordered_moves(rp, width, height, tr, tc, False)]
+    cdef list order = _move_order(rp, n, width, tr, tc)
+    cdef list stack_moves = [_ordered_moves(rp, width, height, order, False)]
     cdef list stack_next = [0]
     cdef long ticks = 0
     cdef int i, move, count, f
@@ -277,7 +303,7 @@ def explore(cells, int width, int height, int target, long max_states,
                 return fillable, union, states, False
             child = PyBytes_FromStringAndSize(<const char *> scratch, n)
             stack_cells.append(child)
-            stack_moves.append(_ordered_moves(scratch, width, height, tr, tc, False))
+            stack_moves.append(_ordered_moves(scratch, width, height, order, False))
             stack_next.append(0)
 
         return fillable, union, states, True

@@ -9,6 +9,13 @@ Cells are a bytes object: 0 = Empty, 255 = Blank, 1..254 = tile value.
 Moves are encoded as cell_index * 4 + direction with directions
 0=Up 1=Right 2=Down 3=Left.
 
+Move ordering: move_order ranks every move of the start board once per
+search (ray toward the target first, then row-major by tile, then URDL).
+At each node ordered_moves drops the moves of spent tiles from that list
+and puts the moves that fill nothing last (or prunes them).  The tiles of a
+reachable state are a subset of the start board's tiles, so this gives the
+same list a full scan and sort of the node would.
+
 Memoization: a state enters the memo set only after its whole subtree was
 expanded without reaching the target.  States on the recursion path cannot
 repeat (every move consumes a tile), so no on-path tracking is needed.
@@ -42,41 +49,54 @@ def _key(cells: bytes) -> bytes:
     return blake2b(cells, digest_size=16).digest()
 
 
-def ordered_moves(cells, width: int, height: int, tr: int, tc: int,
-                  prune_zero: bool) -> list[int]:
-    """Encoded moves sorted by the fixed heuristic.
+def move_order(cells, width: int, tr: int, tc: int) -> list[int]:
+    """Every encoded move of the start board, in the search's fixed order.
 
-    Zero-effect moves last, then moves whose fill ray points toward the
-    target first, ties broken by row-major tile coordinate then URDL.
-    The sort key packs all of that into one integer; the move itself is the
-    low bits (index * 4 + dir).
+    Moves whose ray points toward the target (tr, tc) come first, then the
+    rest; within each group, row-major by tile and then U, R, D, L.  Run once
+    per search: ordered_moves filters this list at every node.
     """
-    keys = []
-    for idx in range(width * height):
-        v = cells[idx]
+    toward, away = [], []
+    for idx, v in enumerate(cells):
         if v == EMPTY or v == BLANK:
             continue
         r, c = divmod(idx, width)
-        for d in range(4):
-            dr, dc = _DELTAS[d]
-            rr, cc = r + dr, c + dc
-            effect = False
-            while 0 <= rr < height and 0 <= cc < width:
-                if cells[rr * width + cc] == EMPTY:
-                    effect = True
-                    break
-                rr += dr
-                cc += dc
-            if not effect and prune_zero:
-                continue
-            toward = ((d == 0 and tr < r) or (d == 1 and tc > c)
-                      or (d == 2 and tr > r) or (d == 3 and tc < c))
-            key = ((0 if effect else 1) << 21) | ((0 if toward else 1) << 20) \
-                | (idx << 2) | d
-            keys.append(key)
-    keys.sort()
-    mask = (1 << 20) - 1
-    return [k & mask for k in keys]
+        for d, ahead in enumerate((tr < r, tc > c, tr > r, tc < c)):
+            (toward if ahead else away).append(idx * 4 + d)
+    return toward + away
+
+
+def ordered_moves(cells, width: int, height: int, order: list[int],
+                  prune_zero: bool) -> list[int]:
+    """The moves of this state: `order` without spent tiles, effective first.
+
+    A move fills something when an EMPTY square lies on its ray.  Moves that
+    fill something come first, then (unless prune_zero) the zero-effect ones,
+    each group in the order of `order`.
+
+    Filtering the start board's order is exact: a move only blanks its own
+    tile square and fills EMPTY squares, so a numbered square never gains or
+    changes a value.  The tiles of any reachable state are therefore the
+    start board's tiles whose squares are not yet BLANK.
+    """
+    effective, idle = [], []
+    for move in order:
+        idx = move >> 2
+        if cells[idx] == BLANK:
+            continue
+        d = move & 3
+        if d == 0:
+            ray = cells[idx % width:idx:width]
+        elif d == 1:
+            ray = cells[idx + 1:idx - idx % width + width]
+        elif d == 2:
+            ray = cells[idx + width::width]
+        else:
+            ray = cells[idx - idx % width:idx]
+        (effective if EMPTY in ray else idle).append(move)
+    if prune_zero:
+        return effective
+    return effective + idle
 
 
 def apply_encoded(cells, width: int, height: int, move: int):
@@ -116,7 +136,8 @@ def solve(cells: bytes, width: int, height: int, target: int,
     memo = set()
     states = 0
     stack_cells = [cells]
-    stack_moves = [ordered_moves(cells, width, height, tr, tc, prune_zero)]
+    order = move_order(cells, width, tr, tc)
+    stack_moves = [ordered_moves(cells, width, height, order, prune_zero)]
     stack_next = [0]
     path: list[int] = []
     ticks = 0
@@ -146,7 +167,7 @@ def solve(cells: bytes, width: int, height: int, target: int,
         if deadline is not None and ticks % 1024 == 0 and time.monotonic() > deadline:
             return EXHAUSTED, [], states
         stack_cells.append(child)
-        stack_moves.append(ordered_moves(child, width, height, tr, tc, prune_zero))
+        stack_moves.append(ordered_moves(child, width, height, order, prune_zero))
         stack_next.append(0)
         path.append(moves[i])
 
@@ -174,7 +195,8 @@ def explore(cells: bytes, width: int, height: int, target: int,
     memo = set()
     states = 0
     stack_cells = [cells]
-    stack_moves = [ordered_moves(cells, width, height, tr, tc, False)]
+    order = move_order(cells, width, tr, tc)
+    stack_moves = [ordered_moves(cells, width, height, order, False)]
     stack_next = [0]
     ticks = 0
 
@@ -203,7 +225,7 @@ def explore(cells: bytes, width: int, height: int, target: int,
         if deadline is not None and ticks % 1024 == 0 and time.monotonic() > deadline:
             return fillable, union, states, False
         stack_cells.append(child)
-        stack_moves.append(ordered_moves(child, width, height, tr, tc, False))
+        stack_moves.append(ordered_moves(child, width, height, order, False))
         stack_next.append(0)
 
     return fillable, union, states, True

@@ -5,7 +5,11 @@ canonical state encodings; a state proved non-winning is never re-expanded.
 The classification (Solvable / Unsolvable) is independent of exploration
 order; the witness follows the fixed move-ordering heuristic (ray toward
 the target first, ties by row-major coordinate then U,R,D,L; zero-effect
-moves explored last).
+moves explored last).  The kernel ranks the start board's moves once per
+search and at each node keeps those whose tile is unspent.  That is exact
+because a move only blanks its own tile and fills empty squares: no square
+ever gains or changes a number, so every reachable state's tiles are a
+subset of the start board's.
 
 Zero-effect moves can in fact be pruned soundly: dropping a move that fills
 nothing yields a board whose filled set is equal and whose tile set is a
@@ -60,10 +64,6 @@ class ResourceExhausted:
 
 
 SolveResult = Solvable | Unsolvable | ResourceExhausted
-
-
-def encode_move(board: Board, move: Move) -> int:
-    return (move.row * board.width + move.col) * 4 + _INDEX_BY_DIR[move.direction]
 
 
 def decode_move(board: Board, encoded: int) -> Move:

@@ -1,0 +1,64 @@
+"""The CLI contract: exit code 0, 1 or 2, one reason line on stderr, no traceback."""
+
+import pytest
+
+from zhedkit.board import board_from_cells, render_board
+from zhedkit.cli import main
+
+
+@pytest.fixture
+def board_file(tmp_path):
+    def write(board):
+        path = tmp_path / "board.txt"
+        path.write_text(render_board(board), encoding="utf-8")
+        return str(path)
+    return write
+
+
+def error_lines(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+def test_solvable_board_prints_trace(board_file, capsys):
+    path = board_file(board_from_cells(3, 1, (0, 1), {(0, 0): 1}))
+    assert main(["solve", path]) == 0
+    out, err = capsys.readouterr()
+    assert out == "0 0 R\n"
+    assert err.startswith("solvable moves=1 ")
+
+
+def test_unsolvable_board_is_a_domain_error(board_file, capsys):
+    path = board_file(board_from_cells(5, 1, (0, 4), {(0, 0): 1}))
+    assert main(["solve", path, "--limits-states", "0"]) == 1
+    [line] = error_lines(capsys)
+    assert line.startswith("error: Unsolvable: ")
+
+
+@pytest.mark.parametrize("flag", ["--limits-states", "--limits-ms"])
+def test_negative_budget_is_a_usage_error(board_file, capsys, flag):
+    path = board_file(board_from_cells(3, 1, (0, 1), {(0, 0): 1}))
+    assert main(["solve", path, flag, "-5"]) == 2
+    [line] = error_lines(capsys)
+    assert f"argument {flag}: must be >= 0" in line
+
+
+def test_directory_as_board_is_a_domain_error(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 1
+    [line] = error_lines(capsys)
+    assert line.startswith("error: IsADirectory: ")
+
+
+def test_missing_board_is_a_domain_error(tmp_path, capsys):
+    assert main(["solve", str(tmp_path / "absent.txt")]) == 1
+    [line] = error_lines(capsys)
+    assert line.startswith("error: FileNotFound: ")
+
+
+def test_binary_board_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "board.bin"
+    path.write_bytes(b"\xff\xfe\x00zhed")
+    assert main(["render", str(path)]) == 1
+    [line] = error_lines(capsys)
+    assert line.startswith("error: ParseError: ") and "not UTF-8" in line

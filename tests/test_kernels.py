@@ -70,19 +70,20 @@ def test_move_ordering_parity():
     for _ in range(40):
         b = random_board(rng)
         tr, tc = b.target
-        slow = search_slow.ordered_moves(b.cells, b.width, b.height, tr, tc, False)
-        fast = search_fast.ordered_moves(b.cells, b.width, b.height, tr, tc, False)
-        assert slow == fast
-        slow_p = search_slow.ordered_moves(b.cells, b.width, b.height, tr, tc, True)
-        fast_p = search_fast.ordered_moves(b.cells, b.width, b.height, tr, tc, True)
-        assert slow_p == fast_p
+        order = search_slow.move_order(b.cells, b.width, tr, tc)
+        assert order == search_fast.move_order(b.cells, b.width, tr, tc)
+        for prune in (False, True):
+            slow = search_slow.ordered_moves(b.cells, b.width, b.height, order, prune)
+            fast = search_fast.ordered_moves(b.cells, b.width, b.height, order, prune)
+            assert slow == fast
 
 
 def test_apply_parity():
     rng = random.Random(34)
     for _ in range(40):
         b = random_board(rng)
-        moves = search_slow.ordered_moves(b.cells, b.width, b.height, *b.target, False)
+        order = search_slow.move_order(b.cells, b.width, *b.target)
+        moves = search_slow.ordered_moves(b.cells, b.width, b.height, order, False)
         for m in moves:
             slow = search_slow.apply_encoded(b.cells, b.width, b.height, m)
             fast = search_fast.apply_encoded(b.cells, b.width, b.height, m)
