@@ -1,8 +1,10 @@
 """ZHED puzzle engine, exhaustive solver, and RPM-3SAT board compiler.
 
-The hot search loops live in a compiled extension (search_fast) with a
-pure-Python twin (search_slow) selected automatically at import; see
-zhedkit.search.KERNEL for which one is active.
+The search core is pure Python (search_slow, reached through
+zhedkit.search): one depth-first traversal on a single board that it plays
+moves on and undoes, with exact memo keys (a bitmask of the squares changed
+from the start board), so an Unsolvable verdict rests on no hash.  There is
+no compiled extension.
 """
 
 from .board import (BLANK, EMPTY, Board, Move, apply_move, canonical_encoding,

@@ -122,7 +122,6 @@ def cmd_gadget(args) -> int:
         bp = make_threshold((2, 2), "H", "R", b, k,
                             shifted=args.kind == "shifted-threshold")
         board = isolated_board(bp)
-        shift = 1 - min(bp.bbox[0], 0), 1 - min(bp.bbox[1], 0)
         sidecar = {
             "kind": args.kind,
             "tiles": [list(t) for t in bp.tiles],

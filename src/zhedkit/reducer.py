@@ -58,17 +58,6 @@ class LayoutParams:
             raise EmbeddingInvalid("row_pitch must be >= 3")
 
 
-def unchecked_params(gadget_margin: int, base_row: int = 0,
-                     wire_separation: int = 4, row_pitch: int = 3) -> LayoutParams:
-    """LayoutParams that skips validation; for adversarial spacing tests."""
-    p = object.__new__(LayoutParams)
-    object.__setattr__(p, "gadget_margin", gadget_margin)
-    object.__setattr__(p, "base_row", base_row)
-    object.__setattr__(p, "wire_separation", wire_separation)
-    object.__setattr__(p, "row_pitch", row_pitch)
-    return p
-
-
 @dataclass
 class ClauseRecord:
     index: int
@@ -218,7 +207,6 @@ def _layout_window(items: list[_WindowItem], margin: int) -> _WindowLayout:
             lit = len(p.var_positions)
             bar_right = block_end + lit * p.g + p.x_bar + p.bar_shift + 3
             out.rel_max = max(out.rel_max, bar_right)
-        cursor = out.rel_max + 1
     return out
 
 

@@ -216,7 +216,7 @@ def parse_instance(text: str) -> tuple[Formula, Embedding | None]:
     num_vars = None
     clauses: list[Clause] = []
     order = None
-    levels: dict[int, int] = {}
+    levels: dict[int, tuple[int, int]] = {}  # clause index -> (level, line number)
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -271,13 +271,18 @@ def parse_instance(text: str) -> tuple[Formula, Embedding | None]:
                 raise ParseError("non-integer level line", lineno) from None
             if lv < 1:
                 raise ParseError("levels are 1-based", lineno)
-            levels[ci] = lv
+            if ci in levels:
+                raise ParseError(f"second level for clause {ci}", lineno)
+            levels[ci] = lv, lineno
         else:
             raise ParseError(f"unrecognized line kind {kind!r}", lineno)
 
     if num_vars is None:
         raise ParseError("missing 'p rpm3sat <n>' header", 1)
     formula = Formula(num_vars, tuple(clauses))
+    for ci, (_, lineno) in levels.items():
+        if not 1 <= ci <= len(clauses):
+            raise ParseError(f"level for clause {ci} outside 1..{len(clauses)}", lineno)
 
     embedding = None
     if order is not None or levels:
@@ -286,7 +291,7 @@ def parse_instance(text: str) -> tuple[Formula, Embedding | None]:
         missing = [i + 1 for i in range(len(clauses)) if i + 1 not in levels]
         if missing:
             raise ParseError(f"embedding block lacks levels for clauses {missing}", 1)
-        embedding = Embedding(order, tuple(levels[i + 1] for i in range(len(clauses))))
+        embedding = Embedding(order, tuple(levels[i + 1][0] for i in range(len(clauses))))
     return formula, embedding
 
 

@@ -1,15 +1,13 @@
-"""Search kernel selection.
+"""The search core's public face.
 
-The compiled Cython kernel is preferred; when the extension was not built
-the pure-Python kernel takes over with identical behavior.  Both expose
-solve(), explore(), move_order(), ordered_moves(), apply_encoded() and the
-status codes.
+The core is search_slow's pure-Python traversal: one exact, in-place
+depth-first walk that serves solve() and explore(); see its docstring for
+the memo keys and the do/undo invariant.  kernel also exposes the stateless
+reference helpers move_order(), ordered_moves() and apply_encoded(), and
+KERNEL names the implementation a benchmark result was recorded on.
 """
 
-try:
-    from . import search_fast as kernel
-except ImportError:  # extension not built; slow path
-    from . import search_slow as kernel
+from . import search_slow as kernel
 
 SOLVED = kernel.SOLVED
 UNSOLVED = kernel.UNSOLVED

@@ -1,15 +1,21 @@
 """Solvability decision by complete search.
 
 solve() runs a depth-first search over move sequences with a memo set of
-canonical state encodings; a state proved non-winning is never re-expanded.
+the states proved non-winning, which are never re-expanded.  A memo key is
+exact, not a hash: the bitmask of the squares that differ from the start
+board, which determines the state because a move only turns its tile and
+empty squares into blanks.  So an Unsolvable verdict has no collision
+caveat: every state the memo skips was fully expanded before.
 The classification (Solvable / Unsolvable) is independent of exploration
 order; the witness follows the fixed move-ordering heuristic (ray toward
 the target first, ties by row-major coordinate then U,R,D,L; zero-effect
-moves explored last).  The kernel ranks the start board's moves once per
-search and at each node keeps those whose tile is unspent.  That is exact
-because a move only blanks its own tile and fills empty squares: no square
-ever gains or changes a number, so every reachable state's tiles are a
-subset of the start board's.
+moves explored last).  The search core ranks the start board's moves once
+per search and at each node takes those whose tile is unspent.  That is
+exact because a move only blanks its own tile and fills empty squares: no
+square ever gains or changes a number, so every reachable state's tiles are
+a subset of the start board's.  The core plays and undoes moves on one
+board; undo restores a node's state bit for bit, so a node resumed after a
+child's subtree sees the same moves it started with.
 
 Zero-effect moves can in fact be pruned soundly: dropping a move that fills
 nothing yields a board whose filled set is equal and whose tile set is a

@@ -62,3 +62,13 @@ def test_binary_board_is_a_parse_error(tmp_path, capsys):
     assert main(["render", str(path)]) == 1
     [line] = error_lines(capsys)
     assert line.startswith("error: ParseError: ") and "not UTF-8" in line
+
+
+def test_level_for_missing_clause_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "one.rpm"
+    path.write_text("p rpm3sat 1\npos 1\nlevel 1 1\nlevel 5 1\n", encoding="utf-8")
+    board, cert = tmp_path / "out.board", tmp_path / "out.cert"
+    assert main(["compile", str(path), str(board), str(cert)]) == 1
+    [line] = error_lines(capsys)
+    assert line.startswith("error: ParseError: ") and "(line 4)" in line
+    assert not board.exists() and not cert.exists()

@@ -71,6 +71,18 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_instance("p rpm3sat 2\npos 1\nneg 2\nlevel 1 1\n")
 
+    def test_level_for_missing_clause_rejected(self):
+        with pytest.raises(ParseError, match=r"clause 5 outside 1\.\.1 \(line 3\)"):
+            parse_instance("p rpm3sat 1\npos 1\nlevel 5 1\nlevel 1 1\n")
+
+    def test_level_for_clause_zero_rejected(self):
+        with pytest.raises(ParseError, match=r"\(line 4\)"):
+            parse_instance("p rpm3sat 1\npos 1\nlevel 1 1\nlevel 0 1\n")
+
+    def test_second_level_for_a_clause_rejected(self):
+        with pytest.raises(ParseError, match=r"second level for clause 1 \(line 4\)"):
+            parse_instance("p rpm3sat 1\npos 1\nlevel 1 1\nlevel 1 2\n")
+
     def test_round_trip(self):
         formula, _ = parse_instance(SAMPLE)
         embedding = auto_embed(formula)
