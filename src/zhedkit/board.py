@@ -6,8 +6,9 @@ tile goes Blank and its number k fills the k closest *unfilled* squares in
 that direction.  Already-filled squares are skipped, not consumed, and a ray
 that runs off the board edge is truncated (the move stays legal).
 
-Boards are immutable; apply_move returns a fresh board, which makes search
-backtracking and memoization trivially correct.
+Boards are immutable; apply_move returns a fresh board.  They serve parsing,
+replay and the tests; the search core plays and undoes moves on its own
+bytearray of the cells instead.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ def canonical_encoding(board: Board) -> bytes:
 
     Two boards of equal dimensions and target encode equally iff their cell
     arrays are identical; the header makes the encoding injective across
-    shapes as well.  Used for solver memoization and test fixtures.
+    shapes as well.  Used by test fixtures; the search keys its memo by
+    bitmasks of changed squares instead.
     """
     tr, tc = board.target
     return struct.pack("<IIII", board.width, board.height, tr, tc) + board.cells

@@ -232,20 +232,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zhedkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, margin=False):
+    def add_limits(p):
         p.add_argument("--limits-states", type=_budget, default=10_000_000,
                        metavar="N", help="solver state budget (0 = unlimited)")
         p.add_argument("--limits-ms", type=_budget, default=0, metavar="N",
                        help="solver wall-clock budget in ms (0 = unlimited)")
-        if margin:
-            p.add_argument("--margin", type=int, default=2,
-                           help="spacing between gadget bounding boxes")
+
+    def add_margin(p):
+        p.add_argument("--margin", type=int, default=2,
+                       help="spacing between gadget bounding boxes")
 
     p = sub.add_parser("compile", help="compile an instance to a board + certificate")
     p.add_argument("instance")
     p.add_argument("out_board")
     p.add_argument("out_cert")
-    common(p, margin=True)
+    add_margin(p)
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("solve", help="decide solvability of a board")
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_trace", nargs="?")
     p.add_argument("--prune-zero-effect", action="store_true",
                    help="skip moves that fill nothing (sound, off by default)")
-    common(p)
+    add_limits(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("replay", help="replay a trace against a board")
@@ -282,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cert")
     p.add_argument("assignment", help="file with n space-separated 0/1 values")
     p.add_argument("out_trace")
-    common(p, margin=True)
+    add_margin(p)
     p.set_defaults(func=cmd_intended)
 
     p = sub.add_parser("verify", help="run the certification suite")
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--artifacts", default=None,
                    help="directory for failure artifacts (board + trace files)")
-    common(p)
+    add_limits(p)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -18,6 +18,12 @@ other gadgets can actually fill; constructors default fillable to all
 sources, which matches exhaustive certification, while the reducer passes
 the true connected count.  Chaining or a crossover lengthens the affected
 boxes by one square per the interaction.
+
+make_clause assembles a whole clause (an OR bar fed by thick wires); it is
+the only clause builder, used by the reducer and by the tests alike.  The
+link records (ChainedPair, CrossoverSpec, ReadLink) compute their anchor
+squares from the blueprints they join, so translating the blueprints moves
+the links with them.
 """
 
 from __future__ import annotations
@@ -35,12 +41,6 @@ Coord = tuple[int, int]
 
 def _add(p: Coord, d: Coord, times: int = 1) -> Coord:
     return (p[0] + d[0] * times, p[1] + d[1] * times)
-
-
-def _rect(points) -> tuple[int, int, int, int]:
-    rows = [p[0] for p in points]
-    cols = [p[1] for p in points]
-    return min(rows), min(cols), max(rows), max(cols)
 
 
 def rects_intersect(a, b) -> bool:
@@ -154,14 +154,20 @@ class ThickWire:
 class CrossoverSpec:
     horizontal: GadgetBlueprint
     vertical: GadgetBlueprint
-    intersection: Coord
+
+    @property
+    def intersection(self) -> Coord:
+        return (self.horizontal.origin[0], self.vertical.origin[1])
 
 
 @dataclass(frozen=True)
 class ChainedPair:
     upstream: GadgetBlueprint
     downstream: GadgetBlueprint
-    anchor: Coord
+
+    @property
+    def anchor(self) -> Coord:
+        return self.upstream.target
 
 
 @dataclass(frozen=True)
@@ -169,8 +175,11 @@ class ReadLink:
     """A wire whose rear source sits on a variable's row, inside its reach."""
     variable: VariableBlueprint
     wire: GadgetBlueprint
-    anchor: Coord
     side: str  # "L" or "R"
+
+    @property
+    def anchor(self) -> Coord:
+        return (self.variable.row, self.wire.origin[1])
 
 
 def make_threshold(origin: Coord, axis: str, forward: str, num_sources: int,
@@ -269,7 +278,7 @@ def chain(upstream: GadgetBlueprint, downstream: GadgetBlueprint) -> ChainedPair
                  max(r1, r1 + d[0]), max(c1, c1 + d[1]))
         upstream.bbox = grown
         upstream.chained = True
-    return ChainedPair(upstream, downstream, upstream.target)
+    return ChainedPair(upstream, downstream)
 
 
 def make_crossover(horizontal: GadgetBlueprint, vertical: GadgetBlueprint,
@@ -307,22 +316,26 @@ def make_crossover(horizontal: GadgetBlueprint, vertical: GadgetBlueprint,
         bp.bbox = (r0 - abs(d[0]), c0 - abs(d[1]), r1 + abs(d[0]), c1 + abs(d[1]))
         bp.bbox = rect_union(bp.bbox, (r - 1, c - 1, r + 1, c + 1))
         bp.crossings += 1
-    return CrossoverSpec(horizontal, vertical, intersection)
+    return CrossoverSpec(horizontal, vertical)
 
 
-def make_clause(attach_points, g: int, level_row: int, *,
-                target_col: int | None = None, extend_left_to: int | None = None,
-                shifted_bar: bool | None = None, bar_fillable: int | None = None,
+def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
                 gadget_id: str = "clause"):
     """Clause gadget: a horizontal OR bar with k=g fed by thick wires.
 
-    attach_points holds, per literal, the g coordinates (on the variable
-    row) where that literal's wires begin; each wire runs vertically from
-    its attach square to a source gap of the bar on level_row.  A single
-    activated thick wire advances the bar's reach by g, so the bar acts as
-    an OR of the literals.  Keyword arguments let the caller stretch the bar
-    (reducer layout); by default the bar spans exactly its wire columns and
-    its target sits g+1 beyond the last tile.
+    This is the one clause builder; the reducer calls it for every clause.
+    attach_points maps a label per literal (the reducer uses the variable
+    index) to the g coordinates on the variable row where that literal's
+    wires begin.  Each wire runs vertically from its attach square to a
+    source gap of the bar on level_row and is named
+    <gadget_id>.v<label>.w<i>.  A single activated thick wire advances the
+    bar's reach by g, so the bar acts as an OR of the literals.
+
+    The bar's rear tile sits one square left of the leftmost wire and its
+    target on (level_row, target_col).  The bar is shifted exactly when the
+    parity of target_col demands it; a target column nearer than g+1
+    squares beyond the last wire's gap raises ParityMismatch.  Every source
+    can be filled by a wire, so the bar's fillable count is (literals) * g.
 
     Each wire is a threshold gadget with k=1 whose rear tile sits one square
     behind the variable row, so its first source is the attach square and
@@ -332,17 +345,18 @@ def make_clause(attach_points, g: int, level_row: int, *,
     when span is even, and b = (span - 1 - shift) // 2.  A span below 3
     leaves no room for a wire's source gap and raises InvalidParam.
 
-    Returns (or_blueprint, thick_wires, chains).
+    Returns (or_blueprint, thick_wires, chains), thick wires in the order
+    of attach_points.
     """
     if g < 1:
         raise InvalidParam("wire thickness g must be >= 1")
     if not 1 <= len(attach_points) <= 3:
         raise InvalidParam("a clause takes 1..3 literals")
-    for pts in attach_points:
+    for pts in attach_points.values():
         if len(pts) != g:
             raise InvalidParam(f"each literal needs exactly {g} attach points")
 
-    anchor_rows = {r for pts in attach_points for r, _ in pts}
+    anchor_rows = {r for pts in attach_points.values() for r, _ in pts}
     if len(anchor_rows) != 1:
         raise InvalidParam("attach points must share the variable row")
     base_row = anchor_rows.pop()
@@ -352,48 +366,35 @@ def make_clause(attach_points, g: int, level_row: int, *,
     up = level_row < base_row
     wire_forward = "U" if up else "D"
 
-    all_cols = sorted(c for pts in attach_points for _, c in pts)
+    all_cols = sorted(c for pts in attach_points.values() for _, c in pts)
     if len(set(all_cols)) != len(all_cols):
         raise InvalidParam("attach columns must be distinct")
 
-    left = min(all_cols) if extend_left_to is None else min(extend_left_to, min(all_cols))
-    origin = (level_row, left - 1)
-    natural_last = max(all_cols) + 1
-    if target_col is None:
-        if shifted_bar is None:
-            shifted_bar = False
-        last = natural_last
-        tcol = last + g + 1 + (1 if shifted_bar else 0)
-    else:
-        if shifted_bar is None:
-            shifted_bar = (target_col - natural_last - g - 1) % 2 == 1
-        last = target_col - g - 1 - (1 if shifted_bar else 0)
-        if last < natural_last or (last - natural_last) % 2:
-            raise ParityMismatch(
-                f"target column {target_col} unreachable from bar end {natural_last}")
-        tcol = target_col
-    b = (last - origin[1]) // 2
-    lit_count = len(attach_points)
-    if bar_fillable is None:
-        bar_fillable = lit_count * g
-    bar = make_threshold(origin, "H", "R", b, g, shifted=shifted_bar,
-                         fillable=bar_fillable, kind="clause-or",
-                         gadget_id=gadget_id + ".or")
-    if bar.target != (level_row, tcol):
+    origin = (level_row, all_cols[0] - 1)
+    natural_last = all_cols[-1] + 1
+    shifted_bar = (target_col - natural_last - g - 1) % 2 == 1
+    last = target_col - g - 1 - (1 if shifted_bar else 0)
+    if last < natural_last:
+        raise ParityMismatch(
+            f"target column {target_col} unreachable from bar end {natural_last}")
+    bar = make_threshold(origin, "H", "R", (last - origin[1]) // 2, g,
+                         shifted=shifted_bar, fillable=len(attach_points) * g,
+                         kind="clause-or", gadget_id=gadget_id + ".or")
+    if bar.target != (level_row, target_col):
         raise ParityMismatch("bar target landed off the requested column")
 
     shifted_wire = span % 2 == 0
     b_wire = (span - 1 - (1 if shifted_wire else 0)) // 2
     wires = []
     chains = []
-    for li, pts in enumerate(attach_points):
+    for label, pts in attach_points.items():
         group = []
-        for wi, (ar, ac) in enumerate(pts):
+        for wi, (_, ac) in enumerate(pts):
             rear = (base_row + (1 if up else -1), ac)
             wire = (make_shifted_threshold if shifted_wire else make_threshold)(
                 rear, "V", wire_forward, b_wire, 1,
                 fillable=1, kind="wire",
-                gadget_id=f"{gadget_id}.lit{li + 1}.w{wi}")
+                gadget_id=f"{gadget_id}.v{label}.w{wi}")
             if wire.target != (level_row, ac):
                 raise ParityMismatch("wire target does not meet the bar row")
             if wire.target not in bar.sources:

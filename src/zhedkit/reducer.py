@@ -23,8 +23,14 @@ Layout scheme (virtual coordinates, normalized before instantiation):
   count is even, and the extreme ANDs as their extension to the shared
   column demands.
 
+Every clause's bar and thick wires come from gadgets.make_clause; the
+reducer chooses the wire columns, the bar row and the corridor, checks that
+each wire attaches inside its variable's window, and records the reads.
+
 The certificate maps every formula element to its gadget anchors; the
-intended-solution generator and the verifier both consume it.
+intended-solution generator and the verifier both consume it.  Its links
+derive their anchors from the blueprints, so normalizing the layout only
+translates the blueprints.
 """
 
 from __future__ import annotations
@@ -36,8 +42,8 @@ from .errors import (EmbeddingInvalid, LayoutOverflow, ParityUnfixable,
                      UnsatisfiedAssignment)
 from .gadgets import (ChainedPair, CrossoverSpec, GadgetBlueprint, ReadLink,
                       ThickWire, VariableBlueprint, chain, instantiate,
-                      make_crossover, make_threshold, make_variable,
-                      rect_union, rects_intersect)
+                      make_clause, make_crossover, make_threshold,
+                      make_variable, rect_union, rects_intersect)
 from .rpm3sat import (Embedding, Formula, NEGATIVE, POSITIVE, auto_embed,
                       validate_embedding)
 
@@ -372,44 +378,23 @@ def compile(formula: Formula, embedding: Embedding | None = None,
         row = bar_row(p)
         up = p.polarity == POSITIVE
         cid = f"clause{p.ci + 1}"
-        all_cols = sorted(c for cols in p.wire_cols.values() for c in cols)
         if p.corridor is None:
             raise LayoutOverflow(f"clause {p.ci} never received a corridor")
-        origin = (row, all_cols[0] - 1)
-        last_col = p.corridor - p.g - 1 - p.bar_shift
-        if last_col < all_cols[-1] + 1 or (last_col - origin[1]) % 2:
-            raise ParityUnfixable(f"bar extent for clause {p.ci} is inconsistent")
-        bar = make_threshold(origin, "H", "R", (last_col - origin[1]) // 2, p.g,
-                             shifted=bool(p.bar_shift),
-                             fillable=len(p.var_positions) * p.g,
-                             kind="clause-or", gadget_id=f"{cid}.or")
-        if bar.target != (row, p.corridor):
-            raise ParityUnfixable(f"bar target off corridor for clause {p.ci}")
+        attach = {embedding.var_order[vp]: [(base, col) for col in p.wire_cols[vp]]
+                  for vp in p.var_positions}
+        bar, wires, links = make_clause(attach, p.g, row, p.corridor, gadget_id=cid)
         bars[p.ci] = bar
-
-        wires = []
-        for vp in p.var_positions:
-            group = []
-            for wi, col in enumerate(p.wire_cols[vp]):
-                rear = (base + 1, col) if up else (base - 1, col)
-                span = 2 * pitch * p.level - 1
-                gaps = (span - 1) // 2
-                wire = make_threshold(rear, "V", "U" if up else "D", gaps, 1,
-                                      fillable=1, kind="wire",
-                                      gadget_id=f"{cid}.v{embedding.var_order[vp]}.w{wi}")
-                if wire.target != (row, col):
-                    raise ParityUnfixable(f"wire misses bar row for clause {p.ci}")
-                chains.append(chain(wire, bar))
-                anchor = (base, col)
-                vb = variables[vp].blueprint
-                lo, hi = (vb.right_window if up else vb.left_window)
+        chains.extend(links)
+        for vp, tw in zip(p.var_positions, wires):
+            vb = variables[vp].blueprint
+            lo, hi = (vb.right_window if up else vb.left_window)
+            for wire in tw.wires:
+                col = wire.origin[1]
                 if not lo <= col <= hi:
                     raise LayoutOverflow(
                         f"wire column {col} outside attach window {(lo, hi)}")
-                reads.append(ReadLink(vb, wire, anchor, "R" if up else "L"))
+                reads.append(ReadLink(vb, wire, "R" if up else "L"))
                 variables[vp].wire_columns.setdefault((p.ci, p.polarity), []).append(col)
-                group.append(wire)
-            wires.append(ThickWire(p.g, tuple(group)))
 
         # propagator: rear gap on the bar's target, target on the AND row
         # (before its crossover adjustments it stops x short of it)
@@ -506,16 +491,6 @@ def compile(formula: Formula, embedding: Embedding | None = None,
     for bp in certificate.gadget_blueprints():
         bp.translate(dr, dc)
     certificate.target = (target[0] + dr, target[1] + dc)
-    chains2 = [ChainedPair(c.upstream, c.downstream,
-                           (c.anchor[0] + dr, c.anchor[1] + dc)) for c in chains]
-    crossovers2 = [CrossoverSpec(c.horizontal, c.vertical,
-                                 (c.intersection[0] + dr, c.intersection[1] + dc))
-                   for c in crossovers]
-    reads2 = [ReadLink(r.variable, r.wire, (r.anchor[0] + dr, r.anchor[1] + dc), r.side)
-              for r in reads]
-    certificate.chains = chains2
-    certificate.crossovers = crossovers2
-    certificate.reads = reads2
 
     board = instantiate(certificate.gadget_blueprints(), certificate.target,
                         width=box[3] - box[1] + 3, height=box[2] - box[0] + 3)
@@ -569,10 +544,6 @@ class AuditViolation:
     detail: str
 
 
-def _blueprint_index(cert: Certificate) -> dict[str, object]:
-    return {bp.gadget_id: bp for bp in cert.gadget_blueprints()}
-
-
 def audit_bboxes(puzzle: CompiledPuzzle) -> list[AuditViolation]:
     """Pairwise bounding-box audit.
 
@@ -623,7 +594,7 @@ def check_certificate(puzzle: CompiledPuzzle) -> list[str]:
                 problems.append(f"crossover at {c.intersection} lacks a tile at {(rr, cc)}")
 
     for link in cert.chains:
-        if link.upstream.target != link.anchor or link.anchor not in link.downstream.sources:
+        if link.anchor not in link.downstream.sources:
             problems.append(f"chain {link.upstream.gadget_id}->{link.downstream.gadget_id} "
                             "anchor mismatch")
 

@@ -227,6 +227,8 @@ def parse_instance(text: str) -> tuple[Formula, Embedding | None]:
         if kind == "p":
             if len(parts) != 3 or parts[1] != "rpm3sat":
                 raise ParseError("expected 'p rpm3sat <n>'", lineno)
+            if num_vars is not None:
+                raise ParseError("second 'p rpm3sat' header", lineno)
             try:
                 num_vars = int(parts[2])
             except ValueError:
@@ -256,6 +258,8 @@ def parse_instance(text: str) -> tuple[Formula, Embedding | None]:
         elif kind == "order":
             if num_vars is None:
                 raise ParseError("'order' before 'p rpm3sat' header", lineno)
+            if order is not None:
+                raise ParseError("second 'order' line", lineno)
             try:
                 order = tuple(int(t) for t in parts[1:])
             except ValueError:

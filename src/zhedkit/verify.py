@@ -23,7 +23,8 @@ from pathlib import Path
 from . import reducer, rpm3sat
 from .board import BLANK, Board, Move, is_solved, render_board
 from .errors import CertificationFailure, NotEmbeddable
-from .gadgets import instantiate, make_threshold, make_variable, rect_union
+from .gadgets import (instantiate, make_crossover, make_threshold, make_variable,
+                      rect_union)
 from .rpm3sat import Formula, render_instance, sat_oracle
 from .solver import (ResourceExhausted, Solvable, SolveLimits, Unsolvable,
                      render_trace, replay, solve)
@@ -49,7 +50,7 @@ class GadgetReport:
 class EquivalenceReport:
     formula: str
     oracle_satisfiable: bool
-    solver_verdict: str         # "solvable" | "unsolvable" | "exhausted"
+    solver_verdict: str         # "solvable" | "unsolvable" | "exhausted" | "skipped"
     states_visited: int
     replay_ok: bool | None      # None when the formula is unsatisfiable
     agreement: bool | None      # None when the solver was exhausted
@@ -213,7 +214,6 @@ def certify_crossover(artifacts_dir=None) -> GadgetReport:
         h = make_threshold((6, 2), "H", "R", 3, 1)
         v = make_threshold((9, 7), "V", "U", 3, 1)
         assert (6, 7) in h.sources and (6, 7) in v.sources
-        from .gadgets import make_crossover
         spec = make_crossover(h, v, (6, 7))
         return h, v, spec
 
@@ -299,30 +299,37 @@ def enumerate_formulas(max_vars: int, max_clauses: int):
                 yield Formula(n, clauses)
 
 
-def check_instance(formula: Formula, limits: SolveLimits,
+def check_instance(formula: Formula, limits: SolveLimits | None,
                    params: reducer.LayoutParams | None = None) -> EquivalenceReport:
-    embedding = rpm3sat.auto_embed(formula)
-    puzzle = reducer.compile(formula, embedding, params)
+    """sat_oracle vs solve(compile(F)) plus the intended replay for one formula.
+
+    With limits None the solver is skipped: the verdict reads "skipped" and
+    agreement stays None.  Raises NotEmbeddable when auto_embed rejects F.
+    """
+    puzzle = reducer.compile(formula, None, params)
     assignment = sat_oracle(formula)
-    result = solve(puzzle.board, limits)
-    if isinstance(result, Solvable):
-        verdict = "solvable"
-    elif isinstance(result, Unsolvable):
-        verdict = "unsolvable"
-    else:
-        verdict = "exhausted"
+    verdict, states = "skipped", 0
+    if limits is not None:
+        result = solve(puzzle.board, limits)
+        states = result.states_visited
+        if isinstance(result, Solvable):
+            verdict = "solvable"
+        elif isinstance(result, Unsolvable):
+            verdict = "unsolvable"
+        else:
+            verdict = "exhausted"
     replay_ok = None
     if assignment is not None:
         end = replay(puzzle.board, reducer.intended_solution(puzzle, assignment))
         replay_ok = is_solved(end)
     agreement = None
-    if verdict != "exhausted":
+    if verdict in ("solvable", "unsolvable"):
         agreement = (assignment is not None) == (verdict == "solvable")
     return EquivalenceReport(
         formula=render_instance(formula).strip().replace("\n", "; "),
         oracle_satisfiable=assignment is not None,
         solver_verdict=verdict,
-        states_visited=result.states_visited,
+        states_visited=states,
         replay_ok=replay_ok,
         agreement=agreement)
 
@@ -333,33 +340,20 @@ def equivalence_suite(max_vars: int = 3, max_clauses: int = 2,
                       fail_fast: bool = False) -> list[EquivalenceReport]:
     """sat_oracle vs solve(compile(F)) over every auto-embeddable formula.
 
-    With fail_fast, stops at the first disagreement or budget exhaustion;
-    the remaining instances still get their intended-solution replay check.
+    With fail_fast, stops solving at the first disagreement or budget
+    exhaustion; the remaining instances are reported "skipped" and still
+    get their intended-solution replay check.
     """
     limits = limits or SolveLimits(max_states=10_000_000)
     reports = []
     solver_enabled = True
     for formula in enumerate_formulas(max_vars, max_clauses):
         try:
-            embedding = rpm3sat.auto_embed(formula)
+            report = check_instance(formula, limits if solver_enabled else None, params)
         except NotEmbeddable:
             continue
-        if solver_enabled:
-            report = check_instance(formula, limits, params)
-            if fail_fast and (report.exhausted or report.agreement is False):
-                solver_enabled = False
-        else:
-            puzzle = reducer.compile(formula, embedding, params)
-            assignment = sat_oracle(formula)
-            replay_ok = None
-            if assignment is not None:
-                end = replay(puzzle.board, reducer.intended_solution(puzzle, assignment))
-                replay_ok = is_solved(end)
-            report = EquivalenceReport(
-                formula=render_instance(formula).strip().replace("\n", "; "),
-                oracle_satisfiable=assignment is not None,
-                solver_verdict="skipped",
-                states_visited=0, replay_ok=replay_ok, agreement=None)
+        if fail_fast and (report.exhausted or report.agreement is False):
+            solver_enabled = False
         reports.append(report)
     return reports
 

@@ -72,3 +72,14 @@ def test_level_for_missing_clause_is_a_parse_error(tmp_path, capsys):
     [line] = error_lines(capsys)
     assert line.startswith("error: ParseError: ") and "(line 4)" in line
     assert not board.exists() and not cert.exists()
+
+
+@pytest.mark.parametrize("flag", ["--limits-states", "--limits-ms"])
+def test_compile_takes_no_solver_budget(tmp_path, capsys, flag):
+    path = tmp_path / "one.rpm"
+    path.write_text("p rpm3sat 1\npos 1\n", encoding="utf-8")
+    board, cert = tmp_path / "out.board", tmp_path / "out.cert"
+    assert main(["compile", str(path), str(board), str(cert), flag, "5"]) == 2
+    [line] = error_lines(capsys)
+    assert f"unrecognized arguments: {flag} 5" in line
+    assert not board.exists() and not cert.exists()

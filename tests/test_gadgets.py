@@ -309,17 +309,42 @@ CLAUSE_ROWS = [(12, 5), (12, 6), (2, 9), (2, 10)]
 
 class TestClause:
     def attach(self, base_row, cols, g):
-        return [[(base_row, c + 4 * i) for i in range(g)] for c in cols]
+        return {li + 1: [(base_row, c + 4 * i) for i in range(g)]
+                for li, c in enumerate(cols)}
+
+    def clause(self, base_row, cols, g, level_row, extra=0):
+        """make_clause with its target g+1 (+extra) beyond the last wire's gap."""
+        attach = self.attach(base_row, cols, g)
+        last_gap = max(c for pts in attach.values() for _, c in pts) + 1
+        return make_clause(attach, g, level_row, last_gap + g + 1 + extra)
 
     def test_two_literal_clause_shape(self):
-        bar, wires, links = make_clause(self.attach(12, (4, 16), 2), 2, 5)
-        assert bar.k == 2
+        bar, wires, links = self.clause(12, (4, 16), 2, 5)
+        assert bar.k == 2 and not bar.shifted
         assert len(wires) == 2 and all(tw.g == 2 for tw in wires)
         assert bar.target[1] == bar.tiles[-1][1] + 3  # g+1 beyond the last tile
         assert len(links) == 4
 
+    def test_wires_named_by_label(self):
+        attach = {7: [(12, 4)], 9: [(12, 16)]}
+        bar, wires, _ = make_clause(attach, 1, 5, 20, gadget_id="clause3")
+        assert bar.gadget_id == "clause3.or"
+        assert [w.gadget_id for tw in wires for w in tw.wires] == [
+            "clause3.v7.w0", "clause3.v9.w0"]
+
+    @pytest.mark.parametrize("extra, shifted", [(0, False), (1, True), (2, False), (3, True)])
+    def test_shift_follows_target_column_parity(self, extra, shifted):
+        bar, _, _ = self.clause(12, (4, 16), 2, 5, extra)
+        assert bar.shifted == shifted
+        assert bar.target == (5, 24 + extra)
+        assert bar.origin == (5, 3)
+
+    def test_target_column_too_near_rejected(self):
+        with pytest.raises(ParityMismatch):
+            self.clause(12, (4, 16), 2, 5, extra=-1)
+
     def test_single_thick_wire_activates_clause(self):
-        bar, wires, _ = make_clause(self.attach(12, (4, 16), 2), 2, 5)
+        bar, wires, _ = self.clause(12, (4, 16), 2, 5)
         for tw in wires[0].wires:
             tw.prefilled = (tw.sources[0],)
         blueprints = [w for tw in wires for w in tw.wires] + [bar]
@@ -330,7 +355,7 @@ class TestClause:
 
     def test_crossings_alone_fall_short_of_g(self):
         # g=2, one crossover intersection pre-filled: reach stays below k
-        bar, wires, _ = make_clause(self.attach(12, (4, 16), 2), 2, 5)
+        bar, wires, _ = self.clause(12, (4, 16), 2, 5)
         bar.prefilled = (bar.sources[3],)  # a single mid-bar gap, as a crossing would fill
         blueprints = [w for tw in wires for w in tw.wires] + [bar]
         board = instantiate(blueprints, bar.target, width=30, height=16)
@@ -341,14 +366,14 @@ class TestClause:
         assert replay(after_wires, bar.activation_order).at(*bar.target) == 0
         # no move order does better: full search on a one-literal bar (the
         # 26-tile board above is beyond an exhaustive search)
-        small, _, _ = make_clause(self.attach(12, (4,), 2), 2, 5)
+        small, _, _ = self.clause(12, (4,), 2, 5)
         assert isinstance(solve(isolated_board(small, prefill_sources=(1,))), Unsolvable)
 
     @pytest.mark.parametrize("base_row, level_row", CLAUSE_ROWS)
     def test_wires_end_on_bar_gaps(self, base_row, level_row):
         attach = self.attach(base_row, (4, 16), 2)
-        bar, wires, _ = make_clause(attach, 2, level_row)
-        for pts, tw in zip(attach, wires):
+        bar, wires, _ = self.clause(base_row, (4, 16), 2, level_row)
+        for pts, tw in zip(attach.values(), wires):
             for (row, col), w in zip(pts, tw.wires):
                 assert w.sources[0] == (row, col)
                 assert w.target == (level_row, col)
@@ -358,7 +383,7 @@ class TestClause:
     @pytest.mark.parametrize("base_row, level_row", CLAUSE_ROWS)
     @pytest.mark.parametrize("fed", [0, 1])
     def test_any_single_literal_activates_clause(self, base_row, level_row, fed):
-        bar, wires, _ = make_clause(self.attach(base_row, (4, 16), 2), 2, level_row)
+        bar, wires, _ = self.clause(base_row, (4, 16), 2, level_row)
         for w in wires[fed].wires:
             w.prefilled = (w.sources[0],)
         blueprints = [w for tw in wires for w in tw.wires] + [bar]
@@ -370,7 +395,7 @@ class TestClause:
     @pytest.mark.parametrize("level_row", [10, 11, 12, 13, 14])
     def test_bar_too_close_to_variable_row_rejected(self, level_row):
         with pytest.raises(InvalidParam):
-            make_clause(self.attach(12, (4,), 1), 1, level_row)
+            self.clause(12, (4,), 1, level_row)
 
     def test_wire_separation_enforced(self):
         wires = tuple(make_threshold((8, c), "V", "U", 1, 1) for c in (0, 3))

@@ -1,0 +1,64 @@
+"""The reducer over every auto-embeddable formula with n <= 2, m <= 3.
+
+verify.enumerate_formulas(2, 3) yields 92 formulas that auto_embed accepts.
+Their certificates are pinned by one md5, so any change to the layout, the
+gadget arithmetic or the certificate text shows here and must update the
+digest on purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from zhedkit import reducer, rpm3sat, verify
+from zhedkit.board import is_solved
+from zhedkit.errors import NotEmbeddable
+from zhedkit.solver import replay
+
+# md5 of the concatenated render_certificate texts, in enumerate_formulas order
+GOLDEN_MD5 = "c02767dc2079ebe3186445bf15d13d2c"
+FORMULA_COUNT = 92
+# intended replay costs about 0.2 s per board, so only every REPLAY_STRIDE-th
+# satisfiable formula is replayed
+REPLAY_STRIDE = 8
+
+
+def _name(puzzle):
+    return rpm3sat.render_instance(puzzle.formula).strip().replace("\n", "; ")
+
+
+@pytest.fixture(scope="module")
+def puzzles():
+    out = []
+    for formula in verify.enumerate_formulas(2, 3):
+        try:
+            embedding = rpm3sat.auto_embed(formula)
+        except NotEmbeddable:
+            continue
+        out.append(reducer.compile(formula, embedding))
+    return out
+
+
+def test_certificates_match_golden_digest(puzzles):
+    assert len(puzzles) == FORMULA_COUNT
+    text = "".join(reducer.render_certificate(p) for p in puzzles)
+    assert hashlib.md5(text.encode("utf-8")).hexdigest() == GOLDEN_MD5
+
+
+def test_audits_are_empty(puzzles):
+    problems = {}
+    for p in puzzles:
+        found = [v.detail for v in reducer.audit_bboxes(p)]
+        found += reducer.check_certificate(p)
+        if found:
+            problems[_name(p)] = found
+    assert problems == {}
+
+
+def test_intended_solution_solves_satisfiable_boards(puzzles):
+    satisfiable = [(p, a) for p in puzzles
+                   if (a := rpm3sat.sat_oracle(p.formula)) is not None]
+    assert len(satisfiable) == 73
+    unsolved = [_name(p) for p, a in satisfiable[::REPLAY_STRIDE]
+                if not is_solved(replay(p.board, reducer.intended_solution(p, a)))]
+    assert unsolved == []

@@ -83,6 +83,14 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"second level for clause 1 \(line 4\)"):
             parse_instance("p rpm3sat 1\npos 1\nlevel 1 1\nlevel 1 2\n")
 
+    def test_second_header_rejected(self):
+        with pytest.raises(ParseError, match=r"second 'p rpm3sat' header \(line 3\)"):
+            parse_instance("p rpm3sat 3\npos 1 2\np rpm3sat 2\n")
+
+    def test_second_order_rejected(self):
+        with pytest.raises(ParseError, match=r"second 'order' line \(line 4\)"):
+            parse_instance("p rpm3sat 2\npos 1\norder 1 2\norder 2 1\nlevel 1 1\n")
+
     def test_round_trip(self):
         formula, _ = parse_instance(SAMPLE)
         embedding = auto_embed(formula)
