@@ -53,7 +53,7 @@ class EquivalenceReport:
     solver_verdict: str         # "solvable" | "unsolvable" | "exhausted" | "skipped"
     states_visited: int
     replay_ok: bool | None      # None when the formula is unsatisfiable
-    agreement: bool | None      # None when the solver was exhausted
+    agreement: bool | None      # None when the solver was exhausted or skipped
 
     @property
     def exhausted(self) -> bool:
