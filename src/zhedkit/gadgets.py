@@ -8,9 +8,11 @@ beyond the last tile when j sources were pre-filled, so the target fills
 iff j >= k.  Wires (k=1), AND (k=m), OR (k=1 with m inputs), clause bars
 and propagators are all parameterizations of this one shape.
 
-A shifted threshold carries one extra tile behind the rear tile, which
-moves the whole reach (and the target) one square forward; it is the
-parity-fixing tool of the layout.
+A shifted threshold (make_threshold with shifted=True) carries one extra
+tile behind the rear tile.  That tile's expansion is absorbed by the first
+source gap, which moves the whole reach (and the target) one square
+forward: the same threshold law with the opposite target parity.  It is
+the parity-fixing tool of the layout.
 
 Bounding boxes are closed rectangles, 3 squares across the axis.  Forward
 reach is fillable+1 (+1 when shifted), where fillable counts the sources
@@ -71,7 +73,6 @@ class GadgetBlueprint:
     sources: tuple[Coord, ...] = ()
     target: Coord = (0, 0)
     bbox: tuple[int, int, int, int] = (0, 0, 0, 0)
-    crossings: int = 0
     chained: bool = False
     prefilled: tuple[Coord, ...] = ()
 
@@ -232,18 +233,6 @@ def make_threshold(origin: Coord, axis: str, forward: str, num_sources: int,
         bbox=span, prefilled=prefilled)
 
 
-def make_shifted_threshold(origin: Coord, axis: str, forward: str,
-                           num_sources: int, k: int, **kwargs) -> GadgetBlueprint:
-    """make_threshold plus one extra tile behind the rear tile.
-
-    The extra tile's expansion is absorbed by the first source gap, so the
-    whole reach (and the target) moves one square forward: same threshold
-    law, opposite target parity.
-    """
-    return make_threshold(origin, axis, forward, num_sources, k,
-                          shifted=True, **kwargs)
-
-
 def make_variable(origin: Coord, length: int, *, gadget_id: str = "") -> VariableBlueprint:
     if length < 2 or length % 2:
         raise InvalidParam(f"variable length must be even and >= 2, got {length}")
@@ -315,7 +304,6 @@ def make_crossover(horizontal: GadgetBlueprint, vertical: GadgetBlueprint,
         r0, c0, r1, c1 = bp.bbox
         bp.bbox = (r0 - abs(d[0]), c0 - abs(d[1]), r1 + abs(d[0]), c1 + abs(d[1]))
         bp.bbox = rect_union(bp.bbox, (r - 1, c - 1, r + 1, c + 1))
-        bp.crossings += 1
     return CrossoverSpec(horizontal, vertical)
 
 
@@ -391,10 +379,9 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
         group = []
         for wi, (_, ac) in enumerate(pts):
             rear = (base_row + (1 if up else -1), ac)
-            wire = (make_shifted_threshold if shifted_wire else make_threshold)(
-                rear, "V", wire_forward, b_wire, 1,
-                fillable=1, kind="wire",
-                gadget_id=f"{gadget_id}.v{label}.w{wi}")
+            wire = make_threshold(rear, "V", wire_forward, b_wire, 1,
+                                  shifted=shifted_wire, fillable=1, kind="wire",
+                                  gadget_id=f"{gadget_id}.v{label}.w{wi}")
             if wire.target != (level_row, ac):
                 raise ParityMismatch("wire target does not meet the bar row")
             if wire.target not in bar.sources:

@@ -2,11 +2,17 @@
 
 Layout scheme (virtual coordinates, normalized before instantiation):
 
-* Variables sit on the central row (base_row), left to right in embedding
-  order, spaced so that no two footprints touch.
+The layout is a function of the formula and its embedding alone: the
+spacing constants MARGIN and ROW_PITCH are part of the construction, not
+inputs.
+
+* Variables sit on row 0, left to right in embedding order, spaced so that
+  no two footprints touch.
 * A positive clause at level l gets a horizontal bar (its OR gadget) on row
-  base_row - (2*pitch*l - 1); negative clauses mirror below.  All bar rows
-  share parity, which keeps every crossover intersection on a source gap.
+  -(2*pitch*l - 1); negative clauses mirror below.  The level pitch starts
+  at ROW_PITCH and grows only as far as propagator spill demands.  All bar
+  rows share parity, which keeps every crossover intersection on a source
+  gap.
 * A clause's literal wires attach on the right side of its variables for
   positive clauses and on the left side for negative ones, so expanding a
   variable rightward (true) feeds exactly the positive readers and leftward
@@ -48,20 +54,8 @@ from .rpm3sat import (Embedding, Formula, NEGATIVE, POSITIVE, auto_embed,
                       validate_embedding)
 
 
-@dataclass(frozen=True)
-class LayoutParams:
-    gadget_margin: int = 2
-    base_row: int = 0
-    wire_separation: int = 4
-    row_pitch: int = 3
-
-    def __post_init__(self):
-        if self.gadget_margin < 1:
-            raise EmbeddingInvalid("gadget_margin must be >= 1")
-        if self.wire_separation != 4:
-            raise EmbeddingInvalid("wire separation is fixed at 4")
-        if self.row_pitch < 3:
-            raise EmbeddingInvalid("row_pitch must be >= 3")
+MARGIN = 2     # column spacing between footprints of unlinked gadgets
+ROW_PITCH = 3  # least row pitch per clause level
 
 
 @dataclass
@@ -71,7 +65,6 @@ class ClauseRecord:
     level: int
     g: int
     bar_crossings: int        # x: propagators piercing this clause's bar
-    prop_crossings: int       # bars this clause's propagator pierces
     bar: GadgetBlueprint
     wires: list[ThickWire]    # one thick wire per literal, variable order
     propagator: GadgetBlueprint
@@ -82,7 +75,6 @@ class ClauseRecord:
 class VariableRecord:
     index: int
     blueprint: VariableBlueprint
-    wire_columns: dict  # (clause index, side) -> list of columns
 
 
 @dataclass
@@ -114,7 +106,6 @@ class CompiledPuzzle:
     certificate: Certificate
     formula: Formula
     embedding: Embedding
-    params: LayoutParams
 
 
 # -- internal planning --------------------------------------------------------
@@ -181,7 +172,7 @@ class _WindowLayout:
     rel_max: int = -1
 
 
-def _layout_window(items: list[_WindowItem], margin: int) -> _WindowLayout:
+def _layout_window(items: list[_WindowItem]) -> _WindowLayout:
     out = _WindowLayout(items=items)
     for item in items:
         p = item.plan
@@ -194,9 +185,9 @@ def _layout_window(items: list[_WindowItem], margin: int) -> _WindowLayout:
             # from everything there; inter-variable spacing absorbs them
             first = 0
         elif item.rear_host:
-            first = out.rel_max + margin + 1 + rear_spill
+            first = out.rel_max + MARGIN + 1 + rear_spill
         else:
-            first = out.rel_max + margin + 1
+            first = out.rel_max + MARGIN + 1
         first += first & 1  # wires sit on even columns
         cols = [first + 4 * j for j in range(p.g)]
         out.wire_offsets[p.ci] = cols
@@ -234,7 +225,7 @@ def _window_items(plans, side: str, position: int) -> list[_WindowItem]:
     return role1 + role2 + role3
 
 
-def _fit_length(rw: _WindowLayout, lw: _WindowLayout, margin: int) -> int:
+def _fit_length(rw: _WindowLayout, lw: _WindowLayout) -> int:
     """Smallest usable even L for a variable given its two window layouts."""
     rw_used = bool(rw.items)
     lw_used = bool(lw.items)
@@ -248,7 +239,7 @@ def _fit_length(rw: _WindowLayout, lw: _WindowLayout, margin: int) -> int:
             if length % 4:
                 return False  # window parity needs L divisible by 4
             # left-side spill must stay clear of the right window's pokes
-            if 5 * length // 2 + rw.rel_min - lw.rel_max < margin:
+            if 5 * length // 2 + rw.rel_min - lw.rel_max < MARGIN:
                 return False
         elif lw_used:
             if length > 2 and length % 4:
@@ -268,18 +259,14 @@ def _fit_length(rw: _WindowLayout, lw: _WindowLayout, margin: int) -> int:
 
 # -- compilation ---------------------------------------------------------------
 
-def compile(formula: Formula, embedding: Embedding | None = None,
-            params: LayoutParams | None = None) -> CompiledPuzzle:
+def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuzzle:
     """Assemble the complete board for a formula with a valid embedding."""
-    params = params or LayoutParams()
     if embedding is None:
         embedding = auto_embed(formula)
     violations = validate_embedding(formula, embedding)
     if violations:
         raise EmbeddingInvalid("; ".join(v.detail for v in violations))
 
-    margin = params.gadget_margin
-    base = params.base_row
     n = formula.num_vars
     plans = _plan_clauses(formula, embedding)
     sides = {POSITIVE: [p for p in plans if p.polarity == POSITIVE],
@@ -287,41 +274,38 @@ def compile(formula: Formula, embedding: Embedding | None = None,
 
     # propagators spill fillable+1 squares behind their rear tile; the level
     # pitch grows until every spill clears the variable row and lower bars
-    pitch = params.row_pitch
+    pitch = ROW_PITCH
     for p in plans:
         spill = p.x_prop + 2 * p.prop_shift
         pitch = max(pitch,
                     -(-(spill + 6) // (2 * p.level)),  # clear the variable row
                     -(-(spill + 5) // 2))              # clear the next bar down
 
-
     def bar_row(p: _ClausePlan) -> int:
         off = 2 * pitch * p.level - 1
-        return base - off if p.polarity == POSITIVE else base + off
+        return -off if p.polarity == POSITIVE else off
 
     # extreme AND row offsets (even, both sides)
     and_offset = {}
     for side, members in sides.items():
-        need = max(4, margin + 3)
+        need = max(4, MARGIN + 3)
         for p in members:
             lmax = max(q.level for q in members)
-            need = max(need, 2 * pitch * lmax + margin + 1)
+            need = max(need, 2 * pitch * lmax + MARGIN + 1)
             need = max(need, 2 * pitch * p.level + 3 * p.x_prop + p.prop_shift + 2)
             if p.crossed:
                 ltop = max(plans[ci].level for ci in p.crossed)
                 need = max(need, 2 * pitch * ltop + p.x_prop + p.prop_shift + 2)
         and_offset[side] = need + (need & 1)
-    and_row = {POSITIVE: base - and_offset[POSITIVE],
-               NEGATIVE: base + and_offset[NEGATIVE]}
+    and_row = {POSITIVE: -and_offset[POSITIVE], NEGATIVE: and_offset[NEGATIVE]}
 
     # window layouts (relative offsets, independent of L and absolute position)
     window = {}
     for vp in range(n):
         for side in (POSITIVE, NEGATIVE):
-            window[(vp, side)] = _layout_window(
-                _window_items(plans, side, vp), margin)
+            window[(vp, side)] = _layout_window(_window_items(plans, side, vp))
 
-    lengths = [_fit_length(window[(vp, POSITIVE)], window[(vp, NEGATIVE)], margin)
+    lengths = [_fit_length(window[(vp, POSITIVE)], window[(vp, NEGATIVE)])
                for vp in range(n)]
 
     # place variables left to right
@@ -335,7 +319,7 @@ def compile(formula: Formula, embedding: Embedding | None = None,
             left_reach = max(left_reach, length - lw.rel_min)
         if rw.items:
             left_reach = max(left_reach, -(3 * length // 2) - rw.rel_min)
-        vx = 0 if prev_right is None else prev_right + margin + left_reach
+        vx = 0 if prev_right is None else prev_right + MARGIN + left_reach
         if length % 4 == 0:
             vx += vx & 1
         elif rw.items:  # L == 2, right window only: start vx + 3 must be even
@@ -364,9 +348,9 @@ def compile(formula: Formula, embedding: Embedding | None = None,
     # blueprints
     variables = []
     for vp in range(n):
-        bp = make_variable((base, var_x[vp]), lengths[vp],
+        bp = make_variable((0, var_x[vp]), lengths[vp],
                            gadget_id=f"var{embedding.var_order[vp]}")
-        variables.append(VariableRecord(embedding.var_order[vp], bp, {}))
+        variables.append(VariableRecord(embedding.var_order[vp], bp))
 
     chains: list[ChainedPair] = []
     crossovers: list[CrossoverSpec] = []
@@ -380,7 +364,7 @@ def compile(formula: Formula, embedding: Embedding | None = None,
         cid = f"clause{p.ci + 1}"
         if p.corridor is None:
             raise LayoutOverflow(f"clause {p.ci} never received a corridor")
-        attach = {embedding.var_order[vp]: [(base, col) for col in p.wire_cols[vp]]
+        attach = {embedding.var_order[vp]: [(0, col) for col in p.wire_cols[vp]]
                   for vp in p.var_positions}
         bar, wires, links = make_clause(attach, p.g, row, p.corridor, gadget_id=cid)
         bars[p.ci] = bar
@@ -394,7 +378,6 @@ def compile(formula: Formula, embedding: Embedding | None = None,
                     raise LayoutOverflow(
                         f"wire column {col} outside attach window {(lo, hi)}")
                 reads.append(ReadLink(vb, wire, "R" if up else "L"))
-                variables[vp].wire_columns.setdefault((p.ci, p.polarity), []).append(col)
 
         # propagator: rear gap on the bar's target, target on the AND row
         # (before its crossover adjustments it stops x short of it)
@@ -410,7 +393,7 @@ def compile(formula: Formula, embedding: Embedding | None = None,
         chains.append(chain(bar, prop))
         records.append(ClauseRecord(
             index=p.ci, polarity=p.polarity, level=p.level, g=p.g,
-            bar_crossings=p.x_bar, prop_crossings=p.x_prop, bar=bar,
+            bar_crossings=p.x_bar, bar=bar,
             wires=wires, propagator=prop, corridor_col=p.corridor))
 
     # crossovers, now that every bar exists
@@ -432,7 +415,7 @@ def compile(formula: Formula, embedding: Embedding | None = None,
                            *(w.bbox[3] for tw in rec.wires for w in tw.wires))
     for vr in variables:
         global_right = max(global_right, vr.blueprint.bbox[3])
-    final_col = global_right + margin + 1
+    final_col = global_right + MARGIN + 1
     for side in (POSITIVE, NEGATIVE):
         members = [rec for rec in records if rec.polarity == side]
         if members:
@@ -495,7 +478,7 @@ def compile(formula: Formula, embedding: Embedding | None = None,
     board = instantiate(certificate.gadget_blueprints(), certificate.target,
                         width=box[3] - box[1] + 3, height=box[2] - box[0] + 3)
     return CompiledPuzzle(board=board, certificate=certificate,
-                          formula=formula, embedding=embedding, params=params)
+                          formula=formula, embedding=embedding)
 
 
 # -- intended solution ----------------------------------------------------------

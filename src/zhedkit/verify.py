@@ -94,10 +94,9 @@ def certify_threshold(b_max: int = 5, k_max: int | None = None,
                           parameters={"b_max": b_max, "k_max": k_max, "shifted": shifted})
     for b in range(1, b_max + 1):
         bp = make_threshold((2, 2), "H", "R", b, b, shifted=shifted)
-        r0, c0, r1, c1 = rect_union(bp.bbox, (*bp.target, *bp.target))
+        _, _, r1, c1 = rect_union(bp.bbox, (*bp.target, *bp.target))
         width, height = c1 + 2, r1 + 2
         sigma = 1 if shifted else 0
-        last = bp.tiles[-1]
         for subset in itertools.product((0, 1), repeat=b):
             j = sum(subset)
             prefills = tuple(bp.sources[i] for i in range(b) if subset[i])
@@ -269,18 +268,21 @@ def certify_crossover(artifacts_dir=None) -> GadgetReport:
     return report
 
 
-def certify_shift_equivalence(b_max: int = 4, limits: SolveLimits | None = None,
-                              artifacts_dir=None) -> GadgetReport:
-    """Shifted and unshifted gadgets share one verdict table."""
-    plain = certify_threshold(b_max, None, False, limits, artifacts_dir)
-    shifted = certify_threshold(b_max, None, True, limits, artifacts_dir)
-    report = GadgetReport(gadget="shift-equivalence", parameters={"b_max": b_max})
-    report.failures = plain.failures + shifted.failures
-    report.containment_ok = plain.containment_ok and shifted.containment_ok
-    for key, verdict in plain.verdicts.items():
-        if shifted.verdicts.get(key) != verdict:
-            report.failures.append(f"verdicts diverge at (b, k, subset)={key}")
-    report.verdicts = plain.verdicts
+def compare_shift_verdicts(plain: GadgetReport, shifted: GadgetReport) -> GadgetReport:
+    """Shifted and unshifted gadgets share one verdict table.
+
+    Compares the verdicts of two finished certify_threshold walks, one plain
+    and one shifted, and reports only the (b, k, subset) keys where they
+    diverge.  A key only one walk decided is that walk's failure, already
+    in its own report.
+    """
+    report = GadgetReport(gadget="shift-equivalence",
+                          parameters={"b_max": plain.parameters["b_max"]})
+    for key in sorted(plain.verdicts.keys() & shifted.verdicts.keys()):
+        p, s = plain.verdicts[key], shifted.verdicts[key]
+        if p != s:
+            report.failures.append(
+                f"verdicts diverge at (b, k, subset)={key}: plain {p}, shifted {s}")
     return report
 
 
@@ -299,14 +301,13 @@ def enumerate_formulas(max_vars: int, max_clauses: int):
                 yield Formula(n, clauses)
 
 
-def check_instance(formula: Formula, limits: SolveLimits | None,
-                   params: reducer.LayoutParams | None = None) -> EquivalenceReport:
+def check_instance(formula: Formula, limits: SolveLimits | None) -> EquivalenceReport:
     """sat_oracle vs solve(compile(F)) plus the intended replay for one formula.
 
     With limits None the solver is skipped: the verdict reads "skipped" and
     agreement stays None.  Raises NotEmbeddable when auto_embed rejects F.
     """
-    puzzle = reducer.compile(formula, None, params)
+    puzzle = reducer.compile(formula)
     assignment = sat_oracle(formula)
     verdict, states = "skipped", 0
     if limits is not None:
@@ -336,7 +337,6 @@ def check_instance(formula: Formula, limits: SolveLimits | None,
 
 def equivalence_suite(max_vars: int = 3, max_clauses: int = 2,
                       limits: SolveLimits | None = None,
-                      params: reducer.LayoutParams | None = None,
                       fail_fast: bool = False) -> list[EquivalenceReport]:
     """sat_oracle vs solve(compile(F)) over every auto-embeddable formula.
 
@@ -349,7 +349,7 @@ def equivalence_suite(max_vars: int = 3, max_clauses: int = 2,
     solver_enabled = True
     for formula in enumerate_formulas(max_vars, max_clauses):
         try:
-            report = check_instance(formula, limits if solver_enabled else None, params)
+            report = check_instance(formula, limits if solver_enabled else None)
         except NotEmbeddable:
             continue
         if fail_fast and (report.exhausted or report.agreement is False):
@@ -381,8 +381,7 @@ def random_satisfiable_formula(rng: random.Random, max_vars: int = 8,
 
 
 def intended_replay_suite(count: int = 20, seed: int = 2024,
-                          max_vars: int = 8, max_clauses: int = 6,
-                          params: reducer.LayoutParams | None = None):
+                          max_vars: int = 8, max_clauses: int = 6):
     """Replay the intended solution on seeded random satisfiable instances.
 
     Returns (ok_count, results) where each result carries the formula, the
@@ -393,7 +392,7 @@ def intended_replay_suite(count: int = 20, seed: int = 2024,
     ok = 0
     for _ in range(count):
         formula = random_satisfiable_formula(rng, max_vars, max_clauses)
-        puzzle = reducer.compile(formula, None, params)
+        puzzle = reducer.compile(formula)
         assignment = sat_oracle(formula)
         moves = reducer.intended_solution(puzzle, assignment)
         solved = is_solved(replay(puzzle.board, moves))

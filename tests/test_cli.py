@@ -74,12 +74,49 @@ def test_level_for_missing_clause_is_a_parse_error(tmp_path, capsys):
     assert not board.exists() and not cert.exists()
 
 
-@pytest.mark.parametrize("flag", ["--limits-states", "--limits-ms"])
-def test_compile_takes_no_solver_budget(tmp_path, capsys, flag):
-    path = tmp_path / "one.rpm"
-    path.write_text("p rpm3sat 1\npos 1\n", encoding="utf-8")
-    board, cert = tmp_path / "out.board", tmp_path / "out.cert"
-    assert main(["compile", str(path), str(board), str(cert), flag, "5"]) == 2
+@pytest.fixture
+def compiled(tmp_path):
+    """An instance compiled by the CLI: paths of instance, board and certificate."""
+    instance = tmp_path / "two.rpm"
+    instance.write_text("p rpm3sat 2\npos 1 2\nneg 1\n", encoding="utf-8")
+    board, cert = tmp_path / "two.board", tmp_path / "two.cert"
+    assert main(["compile", str(instance), str(board), str(cert)]) == 0
+    return str(instance), str(board), str(cert)
+
+
+@pytest.mark.parametrize("flag", ["--limits-states", "--limits-ms", "--margin"])
+def test_compile_and_intended_take_no_budget_or_margin(tmp_path, capsys, compiled, flag):
+    instance, board, cert = compiled
+    assignment = tmp_path / "assign.txt"
+    assignment.write_text("0 1\n", encoding="utf-8")
+    outputs = [tmp_path / "out.board", tmp_path / "out.cert", tmp_path / "out.trace"]
+    for argv in (["compile", instance, *map(str, outputs[:2])],
+                 ["intended", instance, cert, str(assignment), str(outputs[2])]):
+        assert main([*argv, flag, "5"]) == 2
+        [line] = error_lines(capsys)
+        assert f"unrecognized arguments: {flag} 5" in line
+    assert not any(out.exists() for out in outputs)
+
+
+def test_intended_trace_replays_to_a_solved_board(tmp_path, capsys, compiled):
+    instance, board, cert = compiled
+    assignment, trace = tmp_path / "assign.txt", tmp_path / "two.trace"
+    assignment.write_text("0 # x1\nTRUE  # x2\n", encoding="utf-8")
+    assert main(["intended", instance, cert, str(assignment), str(trace)]) == 0
+    assert main(["replay", board, str(trace)]) == 0
+    assert capsys.readouterr().err == "solved=yes\n"
+
+
+@pytest.mark.parametrize("text, token, lineno", [("banana 0\n", "banana", 1),
+                                                 ("0\n1 2\n", "2", 2)],
+                         ids=["word", "digit-on-line-2"])
+def test_malformed_assignment_is_a_parse_error(tmp_path, capsys, compiled,
+                                               text, token, lineno):
+    instance, _, cert = compiled
+    assignment, trace = tmp_path / "assign.txt", tmp_path / "two.trace"
+    assignment.write_text(text, encoding="utf-8")
+    assert main(["intended", instance, cert, str(assignment), str(trace)]) == 1
     [line] = error_lines(capsys)
-    assert f"unrecognized arguments: {flag} 5" in line
-    assert not board.exists() and not cert.exists()
+    assert line.startswith("error: ParseError: ") and repr(token) in line
+    assert f"(line {lineno})" in line
+    assert not trace.exists()

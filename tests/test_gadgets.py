@@ -13,8 +13,8 @@ import pytest
 from zhedkit.board import BLANK, Move, is_solved
 from zhedkit.errors import AnchorMismatch, InvalidParam, ParityMismatch, TileCollision
 from zhedkit.gadgets import (ThickWire, chain, instantiate, isolated_board,
-                             make_clause, make_crossover, make_shifted_threshold,
-                             make_threshold, make_variable)
+                             make_clause, make_crossover, make_threshold,
+                             make_variable)
 from zhedkit.solver import Solvable, Unsolvable, replay, solve
 
 
@@ -96,22 +96,22 @@ class TestThresholdLaw:
 class TestShiftedThreshold:
     def test_target_one_square_farther(self):
         plain = make_threshold((0, 0), "H", "R", 1, 1)
-        shifted = make_shifted_threshold((0, 0), "H", "R", 1, 1)
+        shifted = make_threshold((0, 0), "H", "R", 1, 1, shifted=True)
         assert shifted.target == (0, plain.target[1] + 1)
 
     def test_extra_tile_sits_behind_and_fires_first(self):
-        bp = make_shifted_threshold((0, 5), "H", "R", 2, 1)
+        bp = make_threshold((0, 5), "H", "R", 2, 1, shifted=True)
         assert bp.tiles[0] == (0, 4)
         assert bp.activation_order[0] == Move(0, 4, "R")
 
     def test_extra_tile_fill_absorbed_by_first_gap(self):
-        bp = make_shifted_threshold((5, 2), "H", "R", 2, 1)
+        bp = make_threshold((5, 2), "H", "R", 2, 1, shifted=True)
         board = instantiate([bp], bp.target, width=16, height=11)
         after = replay(board, bp.activation_order[:1])
         assert after.at(5, 3) == BLANK  # the first source gap
 
     def test_reach_with_no_prefills_is_two(self):
-        bp = make_shifted_threshold((5, 2), "H", "R", 3, 1)
+        bp = make_threshold((5, 2), "H", "R", 3, 1, shifted=True)
         board = instantiate([bp], bp.target, width=20, height=11)
         assert activation_reach(board, bp) == 2
 
@@ -120,7 +120,7 @@ class TestShiftedThreshold:
             for k in range(1, b + 1):
                 for j in range(b + 1):
                     plain = make_threshold((5, 2), "H", "R", b, k)
-                    shifted = make_shifted_threshold((5, 2), "H", "R", b, k)
+                    shifted = make_threshold((5, 2), "H", "R", b, k, shifted=True)
                     outcomes = []
                     for bp in (plain, shifted):
                         bp.prefilled = bp.sources[:j]
@@ -132,7 +132,7 @@ class TestShiftedThreshold:
 
     def test_bbox_grows_one_forward_two_backward(self):
         plain = make_threshold((0, 10), "H", "R", 2, 1)
-        shifted = make_shifted_threshold((0, 10), "H", "R", 2, 1)
+        shifted = make_threshold((0, 10), "H", "R", 2, 1, shifted=True)
         assert shifted.bbox[3] == plain.bbox[3] + 1
         assert shifted.bbox[1] == plain.bbox[1] - 2
 
