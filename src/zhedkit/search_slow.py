@@ -17,18 +17,21 @@ them, and they stay as the reference the tests compare it against.
 
 In-place state: the traversal keeps one mutable bytearray of the board,
 plays each move on it and undoes the move once the child's subtree is done.
-For every move in the start board's order it keeps the number of EMPTY
-squares on the move's ray, and two flags indexed like that order:
-"effective" (tile unspent, count > 0) and "idle" (tile unspent, count 0).
-Filling or restoring a square updates the counts of the moves whose rays
-cross it, through a per-square cover list built on the square's first fill;
-playing or restoring a tile sets its four moves' flags.  The two flag
-arrays read in order are exactly ordered_moves' two groups.
+Every move of the start board's order has a position, and a position has a
+bit in the int masks below.  For every position it keeps the number of
+EMPTY squares on the move's ray, and two int masks: "effective" (tile
+unspent, count > 0) and "idle" (tile unspent, count 0).  Filling or
+restoring a square updates the counts of the moves whose rays cross it,
+through a per-square cover list built on the square's first fill; playing
+a tile clears its four moves' bits.  The two masks read in position order
+are exactly ordered_moves' two groups.
 
-Frames: a frame is only a phase (effective moves, then idle ones) and a
-cursor; its next child is flags.find(1, cursor).  That is exact because
-undo restores the board, the counts, the flags and the key bit for bit, so
-whenever a frame resumes it reads the flags of its own state.
+Frames: a frame is a mask of the moves still "awake" at its node, neither
+asleep (below) nor tried there yet; its next child is the lowest bit of
+effective & awake, then, unless prune_zero, of idle & awake, and trying a
+child clears the child's bit.  A frame also saves its node's two masks, and
+undo restores the board, the counts and the key bit for bit, so whenever a
+frame resumes it reads the masks of its own state.
 
 Memoization: a state enters the memo set only after its whole subtree was
 expanded without reaching the target.  States on the recursion path cannot
@@ -43,10 +46,48 @@ number of squares the search has touched; a number never changes within a
 search, so equal states get equal keys.  A child whose key is in the memo
 is skipped before anything else: it was expanded before, so its target is
 empty (solve would have stopped there) and its fills are in explore's union.
+The memo is a plain set of keys; it stores no sleep sets.
+
+Sleep sets (Godefroid, Partial-Order Methods for the Verification of
+Concurrent Systems, LNCS 1032, 1996): a node's sleep set holds moves whose
+child is known to be memoized already, so they are never tried there.
+The child reached by move t inherits (its parent's sleep set | the moves
+already tried at the parent) minus dep(t), where dep(t) is the four moves
+of t's tile and every move whose ray crosses a square t fills (the square's
+cover mask, the int form of its cover list).  In a frame's terms, the
+child's awake mask is its parent's (t already cleared) | dep(t).  Call a
+candidate of a state a move the search would try there: unspent, and
+effective under prune_zero.
+
+1. Independence.  Let t and u be moves of different tiles at state s, and
+   let u's ray cross none of t's fills (u not in dep(t)).  Then u fills the
+   same squares at s.t as at s, since t blanks its tile, which was not
+   EMPTY, and squares off u's ray.  And t fills the same squares at s.u as
+   at s: a square u fills lies on u's ray, so it is not one of t's fills,
+   and an EMPTY square on t's ray that t did not fill lies past all of t's
+   fills (t had no value left for it).  So s.t.u = s.u.t, and each of t
+   and u is a candidate at the other's child exactly when it is at s.
+2. Invariant J.  When a node s is entered, s.u is in the memo for every
+   candidate u of s in its sleep set.  By induction on entry order, with p
+   the parent and s = p.t: a u tried at p before t has finished, so p.u is
+   in the memo (an entered child that finishes is memoized; a skipped one
+   was already there); a u inherited from p's sleep set had p.u in the
+   memo by J at p.  Either way t is a candidate at p.u by step 1, so p.u.t
+   is in the memo by step 3, and p.u.t = p.t.u.
+3. Closure.  When a state finishes, every candidate u of it was tried (so
+   s.u is in the memo) or slept (so s.u is in the memo by J), and the memo
+   only grows: the memo is closed under candidate successors.
+4. Consequences.  Every child the sleep sets skip is one the search
+   without them would have found in the memo and skipped.  So explore still
+   memoizes every reachable state exactly once (its states, union and
+   fillable are unchanged), and solve enters the same states in the same
+   order and returns the same witness, state count and budget outcome.
+   Only the number of children tried falls.
 
 Deadline: every child tried counts toward the wall-clock check, memo hits
 included, and the clock is read every 1024 children, so a long run of memo
-hits cannot overrun max_millis.
+hits cannot overrun max_millis.  A move its node's sleep set skips is not a
+child tried: the awake mask drops it before its ray is walked.
 
 SOLVED / UNSOLVED / EXHAUSTED are the status codes solve returns.
 """
@@ -158,11 +199,13 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
     order = move_order(cells, width, *divmod(target, width))
     size = len(cells)
 
-    # per move position: its ray, nearest square first, and the EMPTY squares on it
+    # per move position: its bit, its ray (nearest square first) and the
+    # number of EMPTY squares on it
+    move_bit = [1 << p for p in range(len(order))]
     rays: list[range] = [range(0)] * len(order)
     count = [0] * len(order)
     position = {move: p for p, move in enumerate(order)}
-    tile_moves = {}  # tile square -> its four moves' positions, U, R, D, L
+    tile_mask = {}  # tile square -> the bits of its four moves
     rows: dict[int, tuple[list, list, list]] = {}  # row -> its tiles' columns, R and L positions
     cols: dict[int, tuple[list, list, list]] = {}  # column -> its tiles' rows, D and U positions
     bit = [0] * size  # square -> its key bit, once it has changed: tiles first, then fills
@@ -171,9 +214,9 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
         idx = match.start()
         r, c = divmod(idx, width)
         move = idx * 4
-        up, right, down, left = moves = (position[move], position[move + 1],
-                                         position[move + 2], position[move + 3])
-        tile_moves[idx] = moves
+        up, right, down, left = (position[move], position[move + 1],
+                                 position[move + 2], position[move + 3])
+        tile_mask[idx] = move_bit[up] | move_bit[right] | move_bit[down] | move_bit[left]
         bit[idx] = 1 << nbits
         nbits += 1
         rays[up] = range(idx - width, -1, -width)
@@ -192,9 +235,11 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
         col[0].append(r)
         col[1].append(down)
         col[2].append(up)
-    eff = bytearray(1 if n else 0 for n in count)
-    idle = bytearray(0 if n else 1 for n in count)
+    all_moves = (1 << len(order)) - 1
+    eff = sum(move_bit[p] for p, n in enumerate(count) if n)
+    idle = all_moves ^ eff
     cover: list = [None] * size  # square -> positions of the moves whose rays cross it
+    cover_mask = [0] * size  # square -> the bits of those moves
 
     union = None
     if not early_exit:
@@ -204,40 +249,33 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
     cur = bytearray(cells)
     memo = set()
     states = ticks = 0
-    key = phase = cursor = 0
-    stack = []  # per ancestor frame: (phase, cursor, position played, filled, key)
+    key = 0
+    awake = all_moves  # moves neither asleep at this node nor tried here yet
+    stack = []  # per ancestor frame: (awake, position played, filled, key, eff, idle)
 
     while True:
-        p = (idle if phase else eff).find(1, cursor)
-        if p < 0:
-            if not phase and not prune_zero:
-                phase, cursor = 1, 0
-                continue
+        ready = eff & awake
+        if not ready and not prune_zero:
+            ready = idle & awake
+        if not ready:
             memo.add(key)
             states += 1
             if not stack:
                 return UNSOLVED, [], states, fillable, union
-            phase, cursor, p, filled, key = stack.pop()
+            awake, p, filled, key, eff, idle = stack.pop()
             idx = order[p] >> 2
             for j in filled:
                 cur[j] = EMPTY
                 for q in cover[j]:
-                    n = count[q] + 1
-                    count[q] = n
-                    if n == 1 and idle[q]:
-                        idle[q] = 0
-                        eff[q] = 1
+                    count[q] += 1
             cur[idx] = cells[idx]
-            for q in tile_moves[idx]:
-                if count[q]:
-                    eff[q] = 1
-                else:
-                    idle[q] = 1
             if states >= max_states > 0:
                 return EXHAUSTED, [], states, fillable, union
             continue
 
-        cursor = p + 1
+        low = ready & -ready
+        awake ^= low
+        p = low.bit_length() - 1
         idx = order[p] >> 2
         k = cur[idx]
         delta = bit[idx]
@@ -257,6 +295,7 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
                             i = bisect(line[0], at)
                             covering += line[1][:i] + line[2][i:]
                     cover[j] = covering
+                    cover_mask[j] = sum(move_bit[q] for q in covering)
                 delta |= b
                 filled.append(j)
                 k -= 1
@@ -274,26 +313,31 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
             continue
         if target in filled:
             if early_exit:
-                return SOLVED, [order[f[2]] for f in stack] + [order[p]], states, True, None
+                return SOLVED, [order[f[1]] for f in stack] + [order[p]], states, True, None
             fillable = True
         if union is not None:
             for j in filled:
                 union[j] = 1
 
+        stack.append((awake, p, filled, key, eff, idle))
         cur[idx] = BLANK
-        for q in tile_moves[idx]:
-            eff[q] = idle[q] = 0
+        spent = tile_mask[idx]
+        dep = spent  # the moves that may not commute with this one
+        emptied = 0  # moves whose rays lose their last EMPTY square
         for j in filled:
             cur[j] = BLANK
+            dep |= cover_mask[j]
             for q in cover[j]:
                 n = count[q] - 1
                 count[q] = n
-                if not n and eff[q]:
-                    eff[q] = 0
-                    idle[q] = 1
-        stack.append((phase, cursor, p, filled, key))
+                if not n:
+                    emptied |= move_bit[q]
+        eff &= ~spent
+        emptied &= eff
+        eff ^= emptied
+        idle = (idle & ~spent) | emptied
+        awake |= dep
         key = child
-        phase = cursor = 0
 
 
 def solve(cells: bytes, width: int, height: int, target: int,

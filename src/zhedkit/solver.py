@@ -15,7 +15,12 @@ exact because a move only blanks its own tile and fills empty squares: no
 square ever gains or changes a number, so every reachable state's tiles are
 a subset of the start board's.  The core plays and undoes moves on one
 board; undo restores a node's state bit for bit, so a node resumed after a
-child's subtree sees the same moves it started with.
+child's subtree sees the same moves it started with.  Sleep sets skip a
+move whose child is provably memoized already: moves of different tiles
+whose fills are disjoint commute, so after trying u and then t at a node,
+the t-child need not try u again when u's ray crosses none of t's fills.
+They skip only children the memo would reject, so verdicts, witnesses and
+state counts are those of the search without them.
 
 Zero-effect moves can in fact be pruned soundly: dropping a move that fills
 nothing yields a board whose filled set is equal and whose tile set is a

@@ -127,6 +127,12 @@ class TestCanonicalEncoding:
                 assert canonical_encoding(after) != canonical_encoding(b)
 
 
+def filled(before: Board, after: Board) -> set[int]:
+    """The squares that are EMPTY on before and filled on after."""
+    return {i for i, (x, y) in enumerate(zip(before.cells, after.cells))
+            if x == EMPTY and y != EMPTY}
+
+
 boards = st.builds(
     lambda w, h, cells, tr, tc: Board(
         w, h, (tr % h, tc % w),
@@ -168,6 +174,37 @@ class TestInvariants:
                 r, c = divmod(i, board.width)
                 if r != move.row and c != move.col:
                     assert after.cells[i] == board.cells[i]
+
+    @given(boards)
+    @settings(max_examples=120, deadline=None)
+    def test_moves_with_disjoint_fills_commute(self, board):
+        # the lemma behind the search's sleep sets: moves of different tiles
+        # whose fills are disjoint leave each other's fills unchanged, so
+        # both orders reach the same board
+        moves = legal_moves(board)
+        fills = {move: filled(board, apply_move(board, move)) for move in moves}
+        for t, u in itertools.combinations(moves, 2):
+            if t[:2] == u[:2] or fills[t] & fills[u]:
+                continue
+            after_t, after_u = apply_move(board, t), apply_move(board, u)
+            both = apply_move(after_t, u)
+            assert both == apply_move(after_u, t)
+            assert filled(after_t, both) == fills[u]
+            assert filled(after_u, apply_move(after_u, t)) == fills[t]
+
+    @given(boards, st.lists(st.integers(0, 29), max_size=10))
+    @settings(max_examples=120, deadline=None)
+    def test_move_fills_a_superset_on_a_fuller_board(self, board, extra):
+        # monotonicity: with filled squares F a subset of F', every move
+        # leaves a superset of the squares it leaves filled on F
+        cells = bytearray(board.cells)
+        for i in extra:
+            if i < len(cells) and cells[i] == EMPTY:
+                cells[i] = BLANK
+        fuller = Board(board.width, board.height, board.target, bytes(cells))
+        for move in legal_moves(board):
+            low, high = apply_move(board, move).cells, apply_move(fuller, move).cells
+            assert all(h != EMPTY for lo, h in zip(low, high) if lo != EMPTY)
 
     @given(boards)
     @settings(max_examples=60, deadline=None)

@@ -2,16 +2,18 @@
 
 The reference is the traversal the core replaced: it copies the board for
 every child, scans and sorts each node's moves afresh and keys its memo by
-the raw cell bytes.  The core must return the same tuples, because it
-visits the same children in the same order and memoizes the same states.
+the raw cell bytes.  The core must return the same tuples: its sleep sets
+skip only children the reference would reject as memo hits, so it enters
+the same states in the same order and memoizes the same ones.
 """
 
+import itertools
 import random
 from collections import deque
 
 import pytest
 
-from zhedkit import reducer, rpm3sat, search, search_slow, solver
+from zhedkit import gadgets, reducer, rpm3sat, search, search_slow, solver
 from zhedkit.board import BLANK, EMPTY, board_from_cells
 
 DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))  # U, R, D, L
@@ -114,13 +116,13 @@ def bfs_states(cells, width, height):
     return len(seen)
 
 
-def random_board(rng, max_w=6, max_h=5, max_tiles=None):
+def random_board(rng, max_w=6, max_h=5, max_tiles=None, max_value=None):
     w, h = rng.randint(1, max_w), rng.randint(1, max_h)
     cells = bytearray(w * h)
     for i in range(w * h):
         roll = rng.random()
         if roll < 0.3:
-            cells[i] = rng.randint(1, max(1, max(w, h) - 1))
+            cells[i] = rng.randint(1, max_value or max(1, max(w, h) - 1))
         elif roll < 0.42:
             cells[i] = BLANK
     if max_tiles is not None:
@@ -153,6 +155,32 @@ def test_unbudgeted_search_matches_reference_on_random_boards():
         assert_same_as_reference(*random_board(rng, 6, 5, max_tiles=6), 0)
 
 
+def test_search_matches_reference_and_bfs_on_random_boards_with_values_1_to_3():
+    rng = random.Random(609)
+    for _ in range(100):
+        cells, w, h, t = random_board(rng, 7, 6, max_tiles=6, max_value=3)
+        assert_same_as_reference(cells, w, h, t, 0)
+        assert search.explore(cells, w, h, t, 0, 0)[2] == bfs_states(cells, w, h)
+
+
+@pytest.mark.parametrize("shifted,b_max", [(False, 3), (True, 2)])
+def test_search_matches_reference_and_bfs_on_threshold_boards(shifted, b_max):
+    # the gadget-explore boards: every pre-filled subset, all four directions;
+    # the target is fillable exactly when every source is
+    for b in range(1, b_max + 1):
+        for subset in itertools.product((0, 1), repeat=b):
+            for forward in "URDL":
+                bp = gadgets.make_threshold((0, 0), "V" if forward in "UD" else "H",
+                                            forward, b, b, shifted=shifted)
+                board = gadgets.isolated_board(bp, [i for i in range(b) if subset[i]])
+                w, h = board.width, board.height
+                t = board.target[0] * w + board.target[1]
+                assert_same_as_reference(board.cells, w, h, t, 0)
+                fillable, _, states, _ = search.explore(board.cells, w, h, t, 0, 0)
+                assert fillable == all(subset)
+                assert states == bfs_states(board.cells, w, h)
+
+
 @pytest.mark.parametrize("text", ["p rpm3sat 1\npos 1\n", "p rpm3sat 2\npos 1 2\n",
                                   "p rpm3sat 1\npos 1\nneg 1\n"])
 def test_search_matches_reference_on_compiled_boards(text):
@@ -171,15 +199,16 @@ def test_explore_counts_exactly_the_reachable_states():
         assert complete and states == bfs_states(cells, w, h)
 
 
-def free_tiles(count=4):
-    """Up to five 1-tiles whose moves each fill a distinct neighbour: 5**count states.
+def tile_strip(count):
+    """`count` adjacent 1-tiles along the top of a 2-row board, one square wider.
 
-    With four tiles the unbudgeted walk tries 2000 children, of which 624
-    lead to new states and 1376 are memo hits; with five it tries 12500.
-    (4, 4) is never filled.
+    Neighbouring tiles' R (or L) moves commute but share their first empty
+    square, so no sleep set skips the second order and it is a memo hit.
+    With five tiles the unbudgeted walk finds 454 states and tries 1394
+    children; with seven, 4246 states and 16286 children.  The target, the
+    bottom-right corner, is never filled.
     """
-    spots = [(1, 1), (1, 7), (7, 1), (7, 7), (4, 1)][:count]
-    return board_from_cells(9, 9, (4, 4), {spot: 1 for spot in spots})
+    return board_from_cells(count + 1, 2, (1, count), {(0, c): 1 for c in range(count)})
 
 
 class JumpingClock:
@@ -195,17 +224,17 @@ class JumpingClock:
 
 
 def test_deadline_counts_memo_hits(monkeypatch):
-    board = free_tiles()
+    board = tile_strip(5)
     target = board.target[0] * board.width + board.target[1]
-    assert search.explore(board.cells, 9, 9, target, 0, 0)[2:] == (625, True)
+    assert search.explore(board.cells, 6, 2, target, 0, 0)[2:] == (454, True)
     clock = JumpingClock()
     monkeypatch.setattr(search_slow, "_clock", clock)
     # fewer than 1024 children lead to new states, so only counting memo
     # hits reaches a check of the clock; the first check, at child 1024, stops
-    _, _, states, complete = search.explore(board.cells, 9, 9, target, 0, 1)
-    assert not complete and clock.reads == 2 and states < 625
+    _, _, states, complete = search.explore(board.cells, 6, 2, target, 0, 1)
+    assert not complete and clock.reads == 2 and states < 454
     clock.reads = 0
-    assert search.solve(board.cells, 9, 9, target, 0, 1, False) == (
+    assert search.solve(board.cells, 6, 2, target, 0, 1, False) == (
         search.EXHAUSTED, [], states)
     assert clock.reads == 2
 
@@ -214,7 +243,7 @@ def test_deadline_counts_memo_hits(monkeypatch):
 def test_deadline_is_checked_every_1024_children(monkeypatch, still):
     # the clock passes the deadline after its still-th read; the search must
     # stop at the next check, 1024 children later
-    board = free_tiles(5)
+    board = tile_strip(7)
     clock = JumpingClock(still)
     monkeypatch.setattr(search_slow, "_clock", clock)
     result = solver.solve(board, solver.SolveLimits(max_millis=1))
@@ -225,6 +254,6 @@ def test_unlimited_search_never_reads_the_clock(monkeypatch):
     def fail():
         raise AssertionError("clock read without a deadline")
     monkeypatch.setattr(search_slow, "_clock", fail)
-    board = free_tiles()
+    board = tile_strip(5)
     assert isinstance(solver.solve(board), solver.Unsolvable)
 
