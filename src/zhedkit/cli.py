@@ -51,15 +51,20 @@ def _read(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
-def _budget(text: str) -> int:
-    """A --limits-* value: a non-negative integer, 0 meaning unlimited."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (0 = unlimited), got {value}")
-    return value
+def _at_least(low: int, note: str = ""):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}{note}, got {value}")
+        return value
+    return parse
+
+
+_budget = _at_least(0, " (0 = unlimited)")  # a --limits-* value
 
 
 def _limits(args) -> SolveLimits:
@@ -291,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_intended)
 
     p = sub.add_parser("verify", help="run the certification suite")
-    p.add_argument("--b-max", type=int, default=5)
+    p.add_argument("--b-max", type=_at_least(1), default=5)
     p.add_argument("--variable-length", type=int, default=8)
-    p.add_argument("--max-vars", type=int, default=3)
-    p.add_argument("--max-clauses", type=int, default=2)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--max-vars", type=_at_least(1), default=3)
+    p.add_argument("--max-clauses", type=_at_least(1), default=2)
+    p.add_argument("--samples", type=_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--artifacts", default=None,
                    help="directory for failure artifacts (board + trace files)")

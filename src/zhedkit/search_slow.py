@@ -15,23 +15,43 @@ scan and sort of the node would.  ordered_moves and apply_encoded compute
 a node's list and a move's result statelessly; the traversal does not call
 them, and they stay as the reference the tests compare it against.
 
-In-place state: the traversal keeps one mutable bytearray of the board,
-plays each move on it and undoes the move once the child's subtree is done.
+In-place state: the traversal keeps two mutable copies of the board, the
+row-major bytearray and a column-major one (square r * width + c at
+c * height + r), plays each move on both and undoes it once the child's
+subtree is done.  A move writes BLANK over the EMPTY squares it fills and
+nothing else: the BLANK its tile leaves is not written, since a tile square
+is not EMPTY either way, so neither copy ever changes at a tile square and
+a spent tile is told from an unspent one by a mask.  Every ray is one contiguous
+run of one copy (R and L of the row-major copy, D and U of the column-major
+one), so a move finds its next EMPTY square with a C-level bytearray find or
+rfind between its ray's bounds, and its k fills with at most k such calls.
 Every move of the start board's order has a position, and a position has a
-bit in the int masks below.  For every position it keeps the number of
-EMPTY squares on the move's ray, and two int masks: "effective" (tile
-unspent, count > 0) and "idle" (tile unspent, count 0).  Filling or
-restoring a square updates the counts of the moves whose rays cross it,
-through a per-square cover list built on the square's first fill; playing
-a tile clears its four moves' bits.  The two masks read in position order
-are exactly ordered_moves' two groups.
+bit in the int masks below; "live" holds the moves of unspent tiles, and
+playing a tile clears its four moves' bits.
+
+Idle moves, found lazily: a move is idle at a state when no EMPTY square is
+left on its ray.  A frame keeps an "idle" mask of moves known to be idle at
+its node.  Its next child is the lowest awake move (below) not in that mask
+whose ray search finds an EMPTY square; a move whose search finds none joins
+the mask instead, and the frame looks at the next one.  Once every awake
+move is known idle, the frame tries those in position order, unless
+prune_zero, and then finishes.  This is ordered_moves' order: effective
+moves first, then idle ones, each group in position order.  A child starts
+with its parent's idle mask, which is sound because the search is monotone:
+a move turns its tile and EMPTY squares into BLANK and makes no square EMPTY,
+so the EMPTY squares on a ray at a descendant are a subset of those at its
+ancestor, and a move idle at a node is idle at every node below it.  The
+converse fails: a move idle at a child may still fill something at the
+parent, so a discovery made below a frame must not reach the frame or its
+other children.  It does not: each frame saves its own mask, and popping a
+child restores it.
 
 Frames: a frame is a mask of the moves still "awake" at its node, neither
-asleep (below) nor tried there yet; its next child is the lowest bit of
-effective & awake, then, unless prune_zero, of idle & awake, and trying a
-child clears the child's bit.  A frame also saves its node's two masks, and
-undo restores the board, the counts and the key bit for bit, so whenever a
-frame resumes it reads the masks of its own state.
+asleep (below) nor tried there yet, with awake a subset of live; trying a
+child clears the child's bit.  A frame saves its awake, live and idle masks,
+the position it played, the squares that move filled and its key; undo
+restores both copies and the key bit for bit, so whenever a frame resumes it
+reads the masks and the board of its own state.
 
 Memoization: a state enters the memo set only after its whole subtree was
 expanded without reaching the target.  States on the recursion path cannot
@@ -40,10 +60,11 @@ state's key is an integer with one bit per square that differs from the
 start board; playing a move XORs in the bits of its tile and its filled
 squares, and undoing it restores the parent's key.  The key is exact, not a hash: a move only turns its tile
 and EMPTY squares into BLANK, so a reachable state is the start board with
-a set of squares made BLANK, and that set determines it.  Squares get their
-bit numbers in the order they first change, so a key is no longer than the
-number of squares the search has touched; a number never changes within a
-search, so equal states get equal keys.  A child whose key is in the memo
+a set of squares made BLANK, and that set determines it.  Tiles get their
+bit numbers first, in row-major order, and other squares theirs in the
+order they are first filled, so a key is no longer than the number of
+squares the search has touched; a number never changes within a search, so
+equal states get equal keys.  A child whose key is in the memo
 is skipped before anything else: it was expanded before, so its target is
 empty (solve would have stopped there) and its fills are in explore's union.
 The memo is a plain set of keys; it stores no sleep sets.
@@ -53,11 +74,14 @@ Concurrent Systems, LNCS 1032, 1996): a node's sleep set holds moves whose
 child is known to be memoized already, so they are never tried there.
 The child reached by move t inherits (its parent's sleep set | the moves
 already tried at the parent) minus dep(t), where dep(t) is the four moves
-of t's tile and every move whose ray crosses a square t fills (the square's
-cover mask, the int form of its cover list).  In a frame's terms, the
-child's awake mask is its parent's (t already cleared) | dep(t).  Call a
-candidate of a state a move the search would try there: unspent, and
-effective under prune_zero.
+of t's tile and every move whose ray crosses a square t fills.  A square's
+share of dep(t) is its cover mask: the R moves of the tiles before it on
+its row and the L moves of those after it, and the same for D and U on its
+column.  It is read, on the square's first fill, from running sums of its
+row's and column's move bits with one bisect each, and cached.  In a
+frame's terms, the child's awake mask is (its parent's, t already cleared,
+| dep(t)) & live.  Call a candidate of a state a move the search would try
+there: unspent, and effective under prune_zero.
 
 1. Independence.  Let t and u be moves of different tiles at state s, and
    let u's ray cross none of t's fills (u not in dep(t)).  Then u fills the
@@ -87,7 +111,9 @@ effective under prune_zero.
 Deadline: every child tried counts toward the wall-clock check, memo hits
 included, and the clock is read every 1024 children, so a long run of memo
 hits cannot overrun max_millis.  A move its node's sleep set skips is not a
-child tried: the awake mask drops it before its ray is walked.
+child tried: the awake mask drops it before its ray is searched.  Nor is a
+ray search that finds no EMPTY square: the move only joins the idle mask,
+and counts as a child when the idle phase tries it.
 
 SOLVED / UNSOLVED / EXHAUSTED are the status codes solve returns.
 """
@@ -97,6 +123,7 @@ from __future__ import annotations
 import re
 import time
 from bisect import bisect
+from itertools import accumulate
 
 EMPTY = 0
 BLANK = 255
@@ -111,6 +138,7 @@ _CHECK_EVERY = 1024  # children tried between two reads of the clock
 KERNEL = "python"
 
 _TILE = re.compile(b"[\x01-\xfe]")  # a square holding a tile
+_NONZERO = bytes(1) + bytes([1]) * 255  # translates a cell to 1 unless it is EMPTY
 _clock = time.monotonic
 
 
@@ -185,6 +213,16 @@ def apply_encoded(cells, width: int, height: int, move: int):
     return bytes(out), filled
 
 
+def _line_bits(tiles: list, position: dict, fwd: int):
+    """A row's (fwd = 1) or column's (fwd = 2) tiles with running sums of their move bits.
+
+    Entry n of the two lists sums the bits of the first n tiles' R and L (or
+    D and U) moves; the bits are distinct, so each sum is also their OR.
+    """
+    return (tiles, *([*accumulate((1 << position[i * 4 + d] for i in tiles), initial=0)]
+                     for d in (fwd, fwd ^ 2)))
+
+
 def _search(cells: bytes, width: int, target: int, max_states: int,
             max_millis: int, prune_zero: bool, early_exit: bool):
     """The traversal behind solve and explore; see the module docstring.
@@ -198,109 +236,102 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
     check_at = _CHECK_EVERY if max_millis else 0
     order = move_order(cells, width, *divmod(target, width))
     size = len(cells)
+    height = size // width
+    cur = bytearray(cells)  # row-major: square r * width + c
+    colm = bytearray(b"".join(cells[c::width] for c in range(width)))  # at c * height + r
+    row_find, row_rfind, col_find, col_rfind = cur.find, cur.rfind, colm.find, colm.rfind
 
-    # per move position: its bit, its ray (nearest square first) and the
-    # number of EMPTY squares on it
-    move_bit = [1 << p for p in range(len(order))]
-    rays: list[range] = [range(0)] * len(order)
-    count = [0] * len(order)
-    position = {move: p for p, move in enumerate(order)}
-    tile_mask = {}  # tile square -> the bits of its four moves
-    rows: dict[int, tuple[list, list, list]] = {}  # row -> its tiles' columns, R and L positions
-    cols: dict[int, tuple[list, list, list]] = {}  # column -> its tiles' rows, D and U positions
-    bit = [0] * size  # square -> its key bit, once it has changed: tiles first, then fills
-    nbits = 0
-    for match in _TILE.finditer(cells):  # row-major, so rows and cols come out sorted
+    # per move position: (the copy's find or rfind, the ray's bounds in that
+    # copy, whether it runs forward, i -> row-major square i * mul + add, the
+    # bits of its tile's four moves, its tile's key bit, the tile's value)
+    position = dict(zip(order, range(len(order))))
+    moves: list = [None] * len(order)
+    rows = [[] for _ in range(height)]  # row -> its tiles, left to right; later _line_bits
+    cols = [[] for _ in range(width)]  # column -> its tiles, top to bottom; the same
+    for nbits, match in enumerate(_TILE.finditer(cells)):  # row-major, so lines come out sorted
         idx = match.start()
         r, c = divmod(idx, width)
         move = idx * 4
         up, right, down, left = (position[move], position[move + 1],
                                  position[move + 2], position[move + 3])
-        tile_mask[idx] = move_bit[up] | move_bit[right] | move_bit[down] | move_bit[left]
-        bit[idx] = 1 << nbits
-        nbits += 1
-        rays[up] = range(idx - width, -1, -width)
-        count[up] = cells[c:idx:width].count(EMPTY)
-        rays[right] = range(idx + 1, idx - c + width)
-        count[right] = cells[idx + 1:idx - c + width].count(EMPTY)
-        rays[down] = range(idx + width, size, width)
-        count[down] = cells[idx + width::width].count(EMPTY)
-        rays[left] = range(idx - 1, idx - c - 1, -1)
-        count[left] = cells[idx - c:idx].count(EMPTY)
-        row = rows.setdefault(r, ([], [], []))
-        row[0].append(c)
-        row[1].append(right)
-        row[2].append(left)
-        col = cols.setdefault(c, ([], [], []))
-        col[0].append(r)
-        col[1].append(down)
-        col[2].append(up)
-    all_moves = (1 << len(order)) - 1
-    eff = sum(move_bit[p] for p, n in enumerate(count) if n)
-    idle = all_moves ^ eff
-    cover: list = [None] * size  # square -> positions of the moves whose rays cross it
-    cover_mask = [0] * size  # square -> the bits of those moves
+        spent = (1 << up) | (1 << right) | (1 << down) | (1 << left)
+        tb, k, top = 1 << nbits, cells[idx], c * height
+        shift = c - top * width
+        moves[up] = (col_rfind, top, top + r, False, width, shift, spent, tb, k)
+        moves[right] = (row_find, idx + 1, idx - c + width, True, 1, 0, spent, tb, k)
+        moves[down] = (col_find, top + r + 1, top + height, True, width, shift, spent, tb, k)
+        moves[left] = (row_rfind, idx - c, idx, False, 1, 0, spent, tb, k)
+        rows[r].append(idx)
+        cols[c].append(idx)
+    nbits = len(order) // 4
+    bit = [0] * size  # square -> its key bit, once filled (tiles' bits are in moves)
+    cover = [0] * size  # square -> the bits of the moves whose rays cross it, once filled
+    twin = [0] * size  # square -> its index in the column-major copy, once filled
 
-    union = None
-    if not early_exit:
-        union = bytearray(1 if v else 0 for v in cells)
+    union = None if early_exit else bytearray(cells.translate(_NONZERO))
     fillable = cells[target] != EMPTY
-
-    cur = bytearray(cells)
     memo = set()
-    states = ticks = 0
-    key = 0
-    awake = all_moves  # moves neither asleep at this node nor tried here yet
-    stack = []  # per ancestor frame: (awake, position played, filled, key, eff, idle)
+    states = ticks = key = idle = 0  # idle: unspent moves known to fill nothing here
+    live = awake = (1 << len(order)) - 1  # unspent moves; moves neither asleep nor tried here
+    stack = []  # per ancestor frame: (awake, position played, filled, key, live, idle)
 
     while True:
-        ready = eff & awake
-        if not ready and not prune_zero:
-            ready = idle & awake
-        if not ready:
-            memo.add(key)
-            states += 1
-            if not stack:
-                return UNSOLVED, [], states, fillable, union
-            awake, p, filled, key, eff, idle = stack.pop()
-            idx = order[p] >> 2
-            for j in filled:
-                cur[j] = EMPTY
-                for q in cover[j]:
-                    count[q] += 1
-            cur[idx] = cells[idx]
-            if states >= max_states > 0:
-                return EXHAUSTED, [], states, fillable, union
-            continue
-
-        low = ready & -ready
-        awake ^= low
-        p = low.bit_length() - 1
-        idx = order[p] >> 2
-        k = cur[idx]
-        delta = bit[idx]
-        filled = []
-        for j in rays[p]:
-            if not cur[j]:
+        ready = awake & ~idle
+        if ready:
+            low = ready & -ready
+            p = low.bit_length() - 1
+            find, lo, hi, fwd, mul, add, spent, delta, k = moves[p]
+            i = find(EMPTY, lo, hi)
+            if i < 0:
+                idle |= low
+                continue
+            filled = []
+            while True:
+                j = i * mul + add
                 b = bit[j]
                 if not b:
                     b = bit[j] = 1 << nbits
                     nbits += 1
-                    # the tiles before j on its row or column point at it with
-                    # R or D, the tiles after it with L or U
                     r, c = divmod(j, width)
-                    covering = []
-                    for line, at in ((rows.get(r), c), (cols.get(c), r)):
-                        if line:
-                            i = bisect(line[0], at)
-                            covering += line[1][:i] + line[2][i:]
-                    cover[j] = covering
-                    cover_mask[j] = sum(move_bit[q] for q in covering)
+                    twin[j] = c * height + r
+                    for lines, n, d in ((rows, r, 1), (cols, c, 2)):
+                        line = lines[n]
+                        if line.__class__ is list:  # the line's first fill
+                            line = lines[n] = _line_bits(line, position, d)
+                        # the tiles before j point at it forward, the rest backward
+                        at = bisect(line[0], j)
+                        cover[j] |= line[1][at] | (line[2][-1] - line[2][at])
                 delta |= b
                 filled.append(j)
                 k -= 1
                 if not k:
                     break
+                if fwd:
+                    lo = i + 1
+                else:
+                    hi = i
+                i = find(EMPTY, lo, hi)
+                if i < 0:
+                    break
+        elif awake and not prune_zero:  # every move left here is idle
+            low = awake & -awake
+            p = low.bit_length() - 1
+            spent, delta = moves[p][6:8]
+            filled = []
+        else:
+            memo.add(key)
+            states += 1
+            if not stack:
+                return UNSOLVED, [], states, fillable, union
+            awake, p, filled, key, live, idle = stack.pop()
+            for j in filled:
+                cur[j] = EMPTY
+                colm[twin[j]] = EMPTY
+            if states >= max_states > 0:
+                return EXHAUSTED, [], states, fillable, union
+            continue
+
+        awake ^= low
         ticks += 1
         if ticks == check_at:
             check_at += _CHECK_EVERY
@@ -319,24 +350,14 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
             for j in filled:
                 union[j] = 1
 
-        stack.append((awake, p, filled, key, eff, idle))
-        cur[idx] = BLANK
-        spent = tile_mask[idx]
+        stack.append((awake, p, filled, key, live, idle))
         dep = spent  # the moves that may not commute with this one
-        emptied = 0  # moves whose rays lose their last EMPTY square
         for j in filled:
             cur[j] = BLANK
-            dep |= cover_mask[j]
-            for q in cover[j]:
-                n = count[q] - 1
-                count[q] = n
-                if not n:
-                    emptied |= move_bit[q]
-        eff &= ~spent
-        emptied &= eff
-        eff ^= emptied
-        idle = (idle & ~spent) | emptied
-        awake |= dep
+            colm[twin[j]] = BLANK
+            dep |= cover[j]
+        live ^= spent
+        awake = (awake | dep) & live
         key = child
 
 

@@ -44,6 +44,16 @@ def test_negative_budget_is_a_usage_error(board_file, capsys, flag):
     assert f"argument {flag}: must be >= 0" in line
 
 
+@pytest.mark.parametrize("flag,value,low", [("--samples", "-1", 0), ("--b-max", "0", 1),
+                                            ("--max-vars", "0", 1), ("--max-clauses", "0", 1)])
+def test_verify_size_below_its_minimum_is_a_usage_error(capsys, flag, value, low):
+    # checked before any certificate runs: a negative sample count or an empty
+    # walk or suite is a mistyped command, not a result
+    assert main(["verify", flag, value]) == 2
+    [line] = error_lines(capsys)
+    assert f"argument {flag}: must be >= {low}, got {value}" in line
+
+
 def test_directory_as_board_is_a_domain_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path)]) == 1
     [line] = error_lines(capsys)

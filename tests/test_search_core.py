@@ -116,15 +116,21 @@ def bfs_states(cells, width, height):
     return len(seen)
 
 
-def random_board(rng, max_w=6, max_h=5, max_tiles=None, max_value=None):
-    w, h = rng.randint(1, max_w), rng.randint(1, max_h)
+def random_cells(rng, w, h, min_value, max_value):
+    """About 30 % tiles of values min_value..max_value, 12 % blanks, the rest empty."""
     cells = bytearray(w * h)
     for i in range(w * h):
         roll = rng.random()
         if roll < 0.3:
-            cells[i] = rng.randint(1, max_value or max(1, max(w, h) - 1))
+            cells[i] = rng.randint(min_value, max_value)
         elif roll < 0.42:
             cells[i] = BLANK
+    return cells
+
+
+def random_board(rng, max_w=6, max_h=5, max_tiles=None, max_value=None):
+    w, h = rng.randint(1, max_w), rng.randint(1, max_h)
+    cells = random_cells(rng, w, h, 1, max_value or max(1, max(w, h) - 1))
     if max_tiles is not None:
         tiles = [i for i, v in enumerate(cells) if v not in (EMPTY, BLANK)]
         for i in rng.sample(tiles, max(0, len(tiles) - max_tiles)):
@@ -197,6 +203,71 @@ def test_explore_counts_exactly_the_reachable_states():
         cells, w, h, t = random_board(rng, 5, 5, max_tiles=5)
         _, _, states, complete = search.explore(cells, w, h, t, 0, 0)
         assert complete and states == bfs_states(cells, w, h)
+
+
+def assert_same_as_reference_and_bfs(cells, w, h, t):
+    for budget in (0, 3):
+        assert_same_as_reference(cells, w, h, t, budget)
+    assert search.explore(cells, w, h, t, 0, 0)[2] == bfs_states(cells, w, h)
+
+
+@pytest.mark.parametrize("w,h", [(9, 1), (1, 9)])
+def test_search_matches_reference_and_bfs_on_one_row_or_one_column(w, h):
+    # the column-major copy of a one-row board holds one square per column,
+    # and that of a one-column board is the board itself
+    rng = random.Random(610 + w)
+    for _ in range(80):
+        assert_same_as_reference_and_bfs(bytes(random_cells(rng, w, h, 1, 4)), w, h,
+                                         rng.randrange(w * h))
+
+
+@pytest.mark.parametrize("w,h,d", [(1, 7, 2), (7, 1, 1)])
+def test_a_move_fills_past_blanks_and_tiles(w, h, d):
+    # the 3 fills squares 1, 4 and 5 of its line, skipping the blank and the
+    # 2; then the 2 fills square 6, past the squares the 3 filled
+    cells = bytes([3, EMPTY, BLANK, 2, EMPTY, EMPTY, EMPTY])
+    assert search.solve(cells, w, h, 5, 0, 0, False) == (search.SOLVED, [d], 0)
+    assert search.solve(cells, w, h, 6, 0, 0, True) == (search.SOLVED, [d, 12 + d], 0)
+    assert_same_as_reference_and_bfs(cells, w, h, 6)
+
+
+def test_multi_square_vertical_fills_match_reference_and_bfs():
+    # tiles of value 2-4 on tall, narrow boards: U and D moves fill several
+    # squares of the column-major copy, past blanks and other tiles
+    rng = random.Random(612)
+    for _ in range(150):
+        w, h = rng.randint(1, 3), rng.randint(4, 8)
+        cells = random_cells(rng, w, h, 2, 4)
+        tiles = [i for i, v in enumerate(cells) if v not in (EMPTY, BLANK)]
+        for i in rng.sample(tiles, max(0, len(tiles) - 6)):
+            cells[i] = EMPTY
+        assert_same_as_reference_and_bfs(bytes(cells), w, h, rng.randrange(w * h))
+
+
+def goes_idle_below(cells, w, h):
+    """Whether a move that fills something at a child of cells fills nothing at a grandchild.
+
+    The search then learns at the grandchild that the move is idle, while
+    the move still fills something at the child and at the child's siblings.
+    """
+    for t in node_moves(cells, w, h, 0, True):
+        child, _ = play(cells, w, h, t)
+        effective = node_moves(child, w, h, 0, True)
+        for v in effective:
+            below = set(node_moves(play(child, w, h, v)[0], w, h, 0, True))
+            if any(u >> 2 != v >> 2 and u not in below for u in effective):
+                return True
+    return False
+
+
+def test_an_idle_move_found_below_a_node_stays_below_it():
+    rng = random.Random(613)
+    boards = 0
+    while boards < 60:
+        cells, w, h, t = random_board(rng, 5, 5, max_tiles=6, max_value=2)
+        if goes_idle_below(cells, w, h):
+            boards += 1
+            assert_same_as_reference_and_bfs(cells, w, h, t)
 
 
 def tile_strip(count):
