@@ -51,8 +51,9 @@ def _read(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
-def _at_least(low: int, note: str = ""):
-    """An argparse type: an integer no smaller than low."""
+def _bounded_int(low: int, note: str = "", high: int | None = None, even: bool = False):
+    """An argparse type: an integer in low..high (no upper bound when high is
+    None), and even when even is set."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -60,11 +61,15 @@ def _at_least(low: int, note: str = ""):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}{note}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}{note}, got {value}")
+        if even and value % 2:
+            raise argparse.ArgumentTypeError(f"must be even, got {value}")
         return value
     return parse
 
 
-_budget = _at_least(0, " (0 = unlimited)")  # a --limits-* value
+_budget = _bounded_int(0, " (0 = unlimited)")  # a --limits-* value
 
 
 def _limits(args) -> SolveLimits:
@@ -211,8 +216,8 @@ def cmd_verify(args) -> int:
                      "; ".join(report.failures[:2])))
         failed = failed or not report.passed
 
-    plain = verify.certify_threshold(args.b_max, None, False, limits, artifacts)
-    shifted = verify.certify_threshold(args.b_max, None, True, limits, artifacts)
+    plain = verify.certify_threshold(args.b_max, False, limits, artifacts)
+    shifted = verify.certify_threshold(args.b_max, True, limits, artifacts)
     run("threshold law (b<=%d)" % args.b_max, plain)
     run("shifted threshold law", shifted)
     run("shift equivalence", verify.compare_shift_verdicts(plain, shifted))
@@ -296,11 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_intended)
 
     p = sub.add_parser("verify", help="run the certification suite")
-    p.add_argument("--b-max", type=_at_least(1), default=5)
-    p.add_argument("--variable-length", type=int, default=8)
-    p.add_argument("--max-vars", type=_at_least(1), default=3)
-    p.add_argument("--max-clauses", type=_at_least(1), default=2)
-    p.add_argument("--samples", type=_at_least(0), default=20)
+    # the exhaustive walks' guards are usage errors, checked before any walk runs
+    p.add_argument("--b-max", type=_bounded_int(1, high=verify.CERT_B_MAX), default=5)
+    p.add_argument("--variable-length", default=8,
+                   type=_bounded_int(2, high=verify.CERT_L_MAX, even=True))
+    p.add_argument("--max-vars", type=_bounded_int(1), default=3)
+    p.add_argument("--max-clauses", type=_bounded_int(1), default=2)
+    p.add_argument("--samples", type=_bounded_int(0), default=20)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--artifacts", default=None,
                    help="directory for failure artifacts (board + trace files)")

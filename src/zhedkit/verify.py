@@ -5,7 +5,9 @@ threshold law (target fillable iff enough sources pre-filled) must hold
 under every move order, fills must stay inside the declared bounding box,
 variable strips must never feed readers on both sides, and a crossover
 played in the wrong order must perturb the horizontal gadget's reach by
-exactly one square.
+exactly one square.  A threshold gadget is certified on
+gadgets.isolated_board: its whole bounding box plus a ring of one square,
+so a fill that escapes the box shows up as a fill of the ring.
 
 The equivalence suite compares sat_oracle against solve(compile(F)) over
 small formula families and replays the intended solution on satisfiable
@@ -23,27 +25,25 @@ from pathlib import Path
 from . import reducer, rpm3sat
 from .board import BLANK, Board, Move, is_solved, render_board
 from .errors import CertificationFailure, NotEmbeddable
-from .gadgets import (instantiate, make_crossover, make_threshold, make_variable,
-                      rect_union)
+from .gadgets import (instantiate, isolated_board, make_crossover, make_threshold,
+                      make_variable)
 from .rpm3sat import Formula, render_instance, sat_oracle
-from .solver import (ResourceExhausted, Solvable, SolveLimits, Unsolvable,
-                     render_trace, replay, solve)
+from .solver import (Solvable, SolveLimits, Unsolvable, render_trace, replay,
+                     solve)
 from . import search
 
 CERT_B_MAX = 6  # search-space guard for exhaustive threshold certification
+CERT_L_MAX = 10  # 2^L move orders bound exhaustive variable certification
 
 
 @dataclass
 class GadgetReport:
-    gadget: str
-    parameters: dict
     verdicts: dict = field(default_factory=dict)
-    containment_ok: bool = True
     failures: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.failures and self.containment_ok
+        return not self.failures
 
 
 @dataclass
@@ -60,102 +60,87 @@ class EquivalenceReport:
         return self.solver_verdict == "exhausted"
 
 
-def _save_artifact(artifacts_dir, name: str, board: Board, moves=None) -> None:
+def _save_artifact(artifacts_dir, name: str, board: Board,
+                   limits: SolveLimits | None = None) -> None:
+    """Write board; with limits, also the witness trace solve finds for it."""
     if artifacts_dir is None:
         return
     path = Path(artifacts_dir)
     path.mkdir(parents=True, exist_ok=True)
     (path / f"{name}.board").write_text(render_board(board), encoding="utf-8")
-    if moves is not None:
-        (path / f"{name}.trace").write_text(render_trace(moves), encoding="utf-8")
+    if limits is not None and isinstance(result := solve(board, limits), Solvable):
+        (path / f"{name}.trace").write_text(render_trace(result.moves), encoding="utf-8")
 
 
-def _explore_board(board: Board, limits: SolveLimits):
-    target = board.target[0] * board.width + board.target[1]
-    return search.explore(board.cells, board.width, board.height, target,
-                          limits.max_states or 0, limits.max_millis or 0)
+def _prefilled(board: Board, squares) -> Board:
+    """board with the given squares pre-filled Blank."""
+    cells = bytearray(board.cells)
+    for r, c in squares:
+        cells[r * board.width + c] = BLANK
+    return Board(board.width, board.height, board.target, bytes(cells))
 
 
-def certify_threshold(b_max: int = 5, k_max: int | None = None,
-                      shifted: bool = False, limits: SolveLimits | None = None,
+def _reach(board: Board, square, delta) -> int:
+    """Non-empty squares in an unbroken run from square (exclusive) along delta."""
+    dr, dc = delta
+    r, c = square[0] + dr, square[1] + dc
+    reach = 0
+    while 0 <= r < board.height and 0 <= c < board.width and board.at(r, c) != 0:
+        reach += 1
+        r, c = r + dr, c + dc
+    return reach
+
+
+def certify_threshold(b_max: int = 5, shifted: bool = False,
+                      limits: SolveLimits | None = None,
                       artifacts_dir=None) -> GadgetReport:
     """Threshold law and containment, exhaustively.
 
     For every gap count b <= b_max and every subset of pre-filled sources,
     one full walk of the isolated gadget's state space decides fillability
     of every k's target at once (a cell is fillable iff some reachable
-    state fills it) and yields the union of all filled cells for the
-    containment check.
+    state fills it; the target for k lies b - k squares before the one for
+    k = b) and yields the union of all filled cells for the containment
+    check.  The board is the bounding box plus a ring of one square, and
+    containment is "no reachable state fills the ring": a fill past the box
+    would have to fill the ring square on its ray first, because that
+    square starts Empty and only a fill can make a ray pass it.
     """
     if b_max > CERT_B_MAX:
         raise CertificationFailure(f"b_max {b_max} exceeds exhaustive guard {CERT_B_MAX}")
     limits = limits or SolveLimits()
-    report = GadgetReport(gadget="shifted-threshold" if shifted else "threshold",
-                          parameters={"b_max": b_max, "k_max": k_max, "shifted": shifted})
+    report = GadgetReport()
     for b in range(1, b_max + 1):
-        bp = make_threshold((2, 2), "H", "R", b, b, shifted=shifted)
-        _, _, r1, c1 = rect_union(bp.bbox, (*bp.target, *bp.target))
-        width, height = c1 + 2, r1 + 2
-        sigma = 1 if shifted else 0
+        bp = make_threshold((0, 0), "H", "R", b, b, shifted=shifted)
         for subset in itertools.product((0, 1), repeat=b):
             j = sum(subset)
-            prefills = tuple(bp.sources[i] for i in range(b) if subset[i])
-            work = make_threshold((2, 2), "H", "R", b, b, shifted=shifted,
-                                  prefilled=prefills)
-            board = instantiate([work], work.target, width=width, height=height)
-            fillable, union, states, complete = _explore_board(board, limits)
+            board = isolated_board(bp, [i for i in range(b) if subset[i]])
+            width, height = board.width, board.height
+            tr, tc = board.target
+            fillable, union, states, complete = search.explore(
+                board.cells, width, height, tr * width + tc,
+                limits.max_states or 0, limits.max_millis or 0)
             if not complete:
                 report.failures.append(f"b={b} subset={subset}: search budget exceeded")
                 continue
-            for k in range(1, min(k_max or b, b) + 1):
-                target = (2, 2 + 2 * b + k + 1 + sigma)
+            for k in range(1, b + 1):
+                target = (tr, tc - (b - k))
                 got = bool(union[target[0] * width + target[1]])
-                want = j >= k
                 report.verdicts[(b, k, subset)] = got
-                if got != want:
-                    report.failures.append(
-                        f"b={b} k={k} j={j} subset={subset}: fillable={got}, law says {want}")
-                    counter = Board(width, height, target, board.cells)
-                    witness = None
-                    if got:
-                        result = solve(counter, limits)
-                        witness = result.moves if isinstance(result, Solvable) else None
-                    _save_artifact(artifacts_dir,
-                                   f"threshold-b{b}-k{k}-j{j}", counter, witness)
-            # containment over the whole frontier
-            rr0, cc0, rr1, cc1 = work.bbox
+                if got != (j >= k):
+                    report.failures.append(f"b={b} k={k} j={j} subset={subset}: "
+                                           f"fillable={got}, law says {j >= k}")
+                    _save_artifact(artifacts_dir, f"threshold-b{b}-k{k}-j{j}",
+                                   Board(width, height, target, board.cells),
+                                   limits if got else None)
             for idx, filled in enumerate(union):
-                if not filled:
-                    continue
                 r, c = divmod(idx, width)
-                if not (rr0 <= r <= rr1 and cc0 <= c <= cc1):
-                    report.containment_ok = False
+                if filled and (r in (0, height - 1) or c in (0, width - 1)):
                     report.failures.append(
-                        f"b={b} subset={subset}: fill at {(r, c)} escapes bbox {work.bbox}")
-                    escape = Board(width, height, (r, c), board.cells)
-                    result = solve(escape, limits)
-                    witness = result.moves if isinstance(result, Solvable) else None
-                    _save_artifact(artifacts_dir, f"containment-b{b}-j{j}", escape, witness)
+                        f"b={b} subset={subset}: fill at {(r, c)} escapes the bbox")
+                    _save_artifact(artifacts_dir, f"containment-b{b}-j{j}",
+                                   Board(width, height, (r, c), board.cells), limits)
     return report
-
-
-def _activation_reach(board: Board, blueprint, extra_prefills=()) -> int:
-    """Cells filled beyond the last tile after the intended activation."""
-    state = board
-    if extra_prefills:
-        cells = bytearray(board.cells)
-        for r, c in extra_prefills:
-            cells[r * board.width + c] = BLANK
-        state = Board(board.width, board.height, board.target, bytes(cells))
-    state = replay(state, blueprint.activation_order)
-    dr, dc = blueprint.delta
-    r, c = blueprint.tiles[-1]
-    reach = 0
-    r, c = r + dr, c + dc
-    while 0 <= r < state.height and 0 <= c < state.width and state.at(r, c) != 0:
-        reach += 1
-        r, c = r + dr, c + dc
-    return reach
 
 
 def certify_variable(length: int = 8, artifacts_dir=None) -> GadgetReport:
@@ -165,28 +150,20 @@ def certify_variable(length: int = 8, artifacts_dir=None) -> GadgetReport:
     reached iff the strip's reach on that side is at least d, and readers
     sit at distances L/2+1 .. L.
     """
-    if length > 10:
-        raise CertificationFailure(f"L={length} exceeds the exhaustiveness bound 10")
-    report = GadgetReport(gadget="variable", parameters={"L": length})
+    if length > CERT_L_MAX:
+        raise CertificationFailure(
+            f"L={length} exceeds the exhaustiveness bound {CERT_L_MAX}")
+    report = GadgetReport()
     half = length // 2
     bp = make_variable((2, 2 + 3 * half), length)
-    width = bp.bbox[3] + 2
-    board = instantiate([bp], (0, 0), width=width, height=5)
+    board = instantiate([bp], (0, 0), width=bp.bbox[3] + 2, height=5)
     for dirs in itertools.product("LR", repeat=length):
-        x = dirs.count("L")
-        y = length - x
+        x, y = dirs.count("L"), dirs.count("R")
         for order in (range(length), reversed(range(length))):
             moves = [Move(bp.row, bp.col0 + i, dirs[i]) for i in order]
             end = replay(board, moves)
-            left = right = 0
-            c = bp.col0 - 1
-            while c >= 0 and end.at(bp.row, c) != 0:
-                left += 1
-                c -= 1
-            c = bp.col0 + length
-            while c < width and end.at(bp.row, c) != 0:
-                right += 1
-                c += 1
+            left = _reach(end, bp.tiles[0], (0, -1))
+            right = _reach(end, bp.tiles[-1], (0, 1))
             if left != x or right != y:
                 report.failures.append(
                     f"dirs={''.join(dirs)}: reach ({left},{right}), expected ({x},{y})")
@@ -207,37 +184,26 @@ def certify_crossover(artifacts_dir=None) -> GadgetReport:
     vertical k already incremented; vertical-first play extends the
     horizontal gadget's reach by exactly one square.
     """
-    report = GadgetReport(gadget="crossover", parameters={})
-
-    def build():
-        h = make_threshold((6, 2), "H", "R", 3, 1)
-        v = make_threshold((9, 7), "V", "U", 3, 1)
-        assert (6, 7) in h.sources and (6, 7) in v.sources
-        spec = make_crossover(h, v, (6, 7))
-        return h, v, spec
-
-    h, v, spec = build()
+    report = GadgetReport()
+    h = make_threshold((6, 2), "H", "R", 3, 1)
+    v = make_threshold((9, 7), "V", "U", 3, 1)
+    cross = make_crossover(h, v, (6, 7)).intersection
+    h_alone = instantiate([h], (0, 0), width=16, height=13)
     board = instantiate([h, v], v.target, width=16, height=13)
-    if board.at(*spec.intersection) != 0:
+    if board.at(*cross) != 0:
         report.failures.append("intersection square is not empty before play")
 
-    externals = [s for s in h.sources if s != spec.intersection]
-    for j_h in range(len(externals) + 1):
-        # reach of the horizontal gadget alone, with j_h sources pre-filled
-        h2, v2, _ = build()
-        b2 = instantiate([h2], (0, 0), width=16, height=13)
-        ext2 = [s for s in h2.sources if s != spec.intersection]
-        alone = _activation_reach(b2, h2, ext2[:j_h])
+    def h_reach(state: Board) -> int:
+        """Squares filled beyond h's last tile after its intended activation."""
+        return _reach(replay(state, h.activation_order), h.tiles[-1], h.delta)
 
+    h_externals = [s for s in h.sources if s != cross]
+    for j_h in range(len(h_externals) + 1):
+        # reach of the horizontal gadget alone, with j_h sources pre-filled
+        alone = h_reach(_prefilled(h_alone, h_externals[:j_h]))
         # vertical first, then horizontal: reach grows by exactly one
-        h3, v3, _ = build()
-        b3 = instantiate([h3, v3], v3.target, width=16, height=13)
-        cells = bytearray(b3.cells)
-        for r, c in [s for s in h3.sources if s != spec.intersection][:j_h]:
-            cells[r * b3.width + c] = BLANK
-        b3 = Board(b3.width, b3.height, b3.target, bytes(cells))
-        after_v = replay(b3, v3.activation_order)
-        reach = _activation_reach(after_v, h3)
+        after_v = replay(_prefilled(board, h_externals[:j_h]), v.activation_order)
+        reach = h_reach(after_v)
         report.verdicts[("vertical-first", j_h)] = reach
         if reach != alone + 1:
             report.failures.append(
@@ -245,25 +211,19 @@ def certify_crossover(artifacts_dir=None) -> GadgetReport:
                 f"expected {alone} + 1")
             _save_artifact(artifacts_dir, f"crossover-vfirst-j{j_h}", after_v)
 
-    # horizontal first: the vertical gadget obeys its original law
-    # (one real source) relative to the moved target
+    # horizontal first (its rear source pre-filled so it activates): the
+    # vertical gadget obeys its original law (one real source) relative to
+    # the moved target
+    v_externals = [s for s in v.sources if s != cross]
     for j_v in (0, 1):
-        h4, v4, spec4 = build()
-        b4 = instantiate([h4, v4], v4.target, width=16, height=13)
-        cells = bytearray(b4.cells)
-        for r, c in [s for s in v4.sources if s != spec4.intersection][:j_v]:
-            cells[r * b4.width + c] = BLANK
-        for r, c in h4.sources[:1]:  # let the horizontal gadget activate
-            cells[r * b4.width + c] = BLANK
-        b4 = Board(b4.width, b4.height, b4.target, bytes(cells))
-        state = replay(b4, h4.activation_order)
-        state = replay(state, v4.activation_order)
+        state = _prefilled(board, [*v_externals[:j_v], h.sources[0]])
+        state = replay(state, h.activation_order)
+        state = replay(state, v.activation_order)
         got = is_solved(state)
-        want = j_v >= 1
         report.verdicts[("horizontal-first", j_v)] = got
-        if got != want:
-            report.failures.append(
-                f"horizontal-first with j={j_v}: target filled={got}, law says {want}")
+        if got != (j_v >= 1):
+            report.failures.append(f"horizontal-first with j={j_v}: "
+                                   f"target filled={got}, law says {j_v >= 1}")
             _save_artifact(artifacts_dir, f"crossover-hfirst-j{j_v}", state)
     return report
 
@@ -276,8 +236,7 @@ def compare_shift_verdicts(plain: GadgetReport, shifted: GadgetReport) -> Gadget
     diverge.  A key only one walk decided is that walk's failure, already
     in its own report.
     """
-    report = GadgetReport(gadget="shift-equivalence",
-                          parameters={"b_max": plain.parameters["b_max"]})
+    report = GadgetReport()
     for key in sorted(plain.verdicts.keys() & shifted.verdicts.keys()):
         p, s = plain.verdicts[key], shifted.verdicts[key]
         if p != s:

@@ -1,7 +1,10 @@
 """The CLI contract: exit code 0, 1 or 2, one reason line on stderr, no traceback."""
 
+import re
+
 import pytest
 
+from zhedkit import verify
 from zhedkit.board import board_from_cells, render_board
 from zhedkit.cli import main
 
@@ -52,6 +55,37 @@ def test_verify_size_below_its_minimum_is_a_usage_error(capsys, flag, value, low
     assert main(["verify", flag, value]) == 2
     [line] = error_lines(capsys)
     assert f"argument {flag}: must be >= {low}, got {value}" in line
+
+
+@pytest.mark.parametrize("flag,value,reason", [
+    ("--variable-length", "3", "must be even, got 3"),
+    ("--variable-length", "0", "must be >= 2, got 0"),
+    ("--variable-length", "12", "must be <= 10, got 12"),
+    ("--b-max", "7", "must be <= 6, got 7")])
+def test_verify_size_past_its_exhaustive_guard_is_a_usage_error(monkeypatch, capsys,
+                                                                flag, value, reason):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the arguments were checked")
+
+    monkeypatch.setattr(verify, "certify_threshold", no_walk)
+    assert main(["verify", flag, value]) == 2
+    [line] = error_lines(capsys)
+    assert f"argument {flag}: {reason}" in line
+
+
+def test_verify_prints_one_row_per_check(capsys):
+    # 200 states decide neither compiled board, so the equivalence row fails
+    argv = ["verify", "--b-max", "1", "--variable-length", "4", "--samples", "1",
+            "--max-vars", "1", "--max-clauses", "1", "--limits-states", "200"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [re.split(r"\s{2,}", line)[:2] for line in out.splitlines()]
+    assert rows == [["threshold law (b<=1)", "pass"], ["shifted threshold law", "pass"],
+                    ["shift equivalence", "pass"], ["variable split safety (L=4)", "pass"],
+                    ["crossover order tolerance", "pass"],
+                    ["intended replay (1 samples)", "pass"],
+                    ["equivalence (n<=1, m<=1)", "FAIL"]]
 
 
 def test_directory_as_board_is_a_domain_error(tmp_path, capsys):

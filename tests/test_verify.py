@@ -1,7 +1,10 @@
-"""The equivalence suite's reports, with and without fail_fast, and the
-shift-equivalence comparison of two threshold walks."""
+"""The equivalence suite's reports, with and without fail_fast, the
+shift-equivalence comparison of two threshold walks, and the verdicts of the
+gadget certifiers."""
 
-from zhedkit import verify
+import itertools
+
+from zhedkit import gadgets, verify
 from zhedkit.solver import SolveLimits
 
 # 200 states decide none of these boards, so the first one exhausts the budget
@@ -26,11 +29,44 @@ def test_without_fail_fast_the_solver_runs_on_every_formula():
 
 
 def test_shift_comparison_reports_only_divergent_verdicts():
-    plain = verify.certify_threshold(2, None, False)
-    shifted = verify.certify_threshold(2, None, True)
+    plain = verify.certify_threshold(2, False)
+    shifted = verify.certify_threshold(2, True)
     assert plain.passed and shifted.passed and len(plain.verdicts) == 10
     assert verify.compare_shift_verdicts(plain, shifted).failures == []
     key = (2, 1, (0, 1))
     shifted.verdicts[key] = not shifted.verdicts[key]
     [failure] = verify.compare_shift_verdicts(plain, shifted).failures
     assert f"{key}: plain True, shifted False" in failure
+
+
+def test_threshold_fill_past_a_short_rear_edge_is_an_escape(monkeypatch):
+    # a box one square short at the rear: the backward expansion over two
+    # pre-filled gaps fills the ring square the box no longer covers
+    def rear_short(*args, **kwargs):
+        bp = gadgets.make_threshold(*args, **kwargs)
+        if bp.gaps >= 2:
+            r0, c0, r1, c1 = bp.bbox
+            bp.bbox = (r0, c0 + 1, r1, c1)
+        return bp
+
+    monkeypatch.setattr(verify, "make_threshold", rear_short)
+    report = verify.certify_threshold(2)
+    assert not report.passed
+    assert "b=2 subset=(1, 1): fill at (2, 0) escapes the bbox" in report.failures
+
+
+def test_variable_verdicts_at_length_4():
+    report = verify.certify_variable(4)
+    assert report.failures == []
+    assert report.verdicts == {dirs: (dirs.count("L"), dirs.count("R"))
+                               for dirs in itertools.product("LR", repeat=4)}
+
+
+def test_crossover_verdicts():
+    # vertical first lengthens the horizontal reach from j + 1 to j + 2;
+    # horizontal first leaves the vertical gadget its one-source law
+    report = verify.certify_crossover()
+    assert report.failures == []
+    assert report.verdicts == {("vertical-first", 0): 2, ("vertical-first", 1): 3,
+                               ("vertical-first", 2): 4, ("horizontal-first", 0): False,
+                               ("horizontal-first", 1): True}
