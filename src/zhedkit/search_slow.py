@@ -1,4 +1,4 @@
-"""Pure-Python search core: one exact, in-place depth-first traversal.
+"""Pure-Python search core: one exact depth-first traversal over bitboards.
 
 Cells are a bytes object: 0 = Empty, 255 = Blank, 1..254 = tile value.
 Moves are encoded as cell_index * 4 + direction with directions
@@ -15,24 +15,25 @@ scan and sort of the node would.  ordered_moves and apply_encoded compute
 a node's list and a move's result statelessly; the traversal does not call
 them, and they stay as the reference the tests compare it against.
 
-In-place state: the traversal keeps two mutable copies of the board, the
-row-major bytearray and a column-major one (square r * width + c at
-c * height + r), plays each move on both and undoes it once the child's
-subtree is done.  A move writes BLANK over the EMPTY squares it fills and
-nothing else: the BLANK its tile leaves is not written, since a tile square
-is not EMPTY either way, so neither copy ever changes at a tile square and
-a spent tile is told from an unspent one by a mask.  Every ray is one contiguous
-run of one copy (R and L of the row-major copy, D and U of the column-major
-one), so a move finds its next EMPTY square with a C-level bytearray find or
-rfind between its ray's bounds, and its k fills with at most k such calls.
-Every move of the start board's order has a position, and a position has a
-bit in the int masks below; "live" holds the moves of unspent tiles, and
-playing a tile clears its four moves' bits.
+Board state: the traversal keeps the board as two ints of its EMPTY
+squares.  In the forward one bit i is square i; in the reversed one bit
+size-1-i is.  Reversing turns the board half a turn, so an R ray becomes an
+L ray and a D ray a U ray.  Each move has a ray mask in one of the two:
+L and U in the forward board, R and D in the reversed one.  The mask's
+highest bits are the squares nearest the tile, so the nearest EMPTY square
+is the highest set bit of mask & board (one AND and one bit_length) and a
+move's k fills are the k highest.  A move's mask and tuple are built on its
+first try.  A move turns the EMPTY squares it fills into BLANK and changes
+nothing else: the BLANK its tile leaves needs no bit, since a tile square is
+not EMPTY either way, and a spent tile is told from an unspent one by a
+mask.  Every move of the start board's order has a position, and a position
+has a bit in the int masks below; "live" holds the moves of unspent tiles,
+and playing a tile clears its four moves' bits.
 
 Idle moves, found lazily: a move is idle at a state when no EMPTY square is
 left on its ray.  A frame keeps an "idle" mask of moves known to be idle at
 its node.  Its next child is the lowest awake move (below) not in that mask
-whose ray search finds an EMPTY square; a move whose search finds none joins
+whose ray mask meets an EMPTY square; a move whose mask meets none joins
 the mask instead, and the frame looks at the next one.  Once every awake
 move is known idle, the frame tries those in position order, unless
 prune_zero, and then finishes.  This is ordered_moves' order: effective
@@ -49,16 +50,21 @@ child restores it.
 Frames: a frame is a mask of the moves still "awake" at its node, neither
 asleep (below) nor tried there yet, with awake a subset of live; trying a
 child clears the child's bit.  A frame saves its awake, live and idle masks,
-the position it played, the squares that move filled and its key; undo
-restores both copies and the key bit for bit, so whenever a frame resumes it
-reads the masks and the board of its own state.
+the position it played, the squares that move filled and its key.  Entering
+the child XORs those squares' bits out of both board ints and popping it
+XORs them back in, so whenever a frame resumes it reads the masks and the
+board of its own state.  (A frame keeps the squares, not the parent's board
+ints: on a board of 10 K squares two ints take about 2.7 KB, and a
+500-state solve there runs more than 300 frames deep.)  A child whose awake
+mask is 0 is a leaf: it would finish as soon as it was entered, so it is
+memoized and counted where it is found, with no frame.
 
 Memoization: a state enters the memo set only after its whole subtree was
 expanded without reaching the target.  States on the recursion path cannot
 repeat (every move consumes a tile), so no on-path tracking is needed.  A
 state's key is an integer with one bit per square that differs from the
 start board; playing a move XORs in the bits of its tile and its filled
-squares, and undoing it restores the parent's key.  The key is exact, not a hash: a move only turns its tile
+squares, and popping it restores the parent's key.  The key is exact, not a hash: a move only turns its tile
 and EMPTY squares into BLANK, so a reachable state is the start board with
 a set of squares made BLANK, and that set determines it.  Tiles get their
 bit numbers first, in row-major order, and other squares theirs in the
@@ -67,7 +73,10 @@ squares the search has touched; a number never changes within a search, so
 equal states get equal keys.  A child whose key is in the memo
 is skipped before anything else: it was expanded before, so its target is
 empty (solve would have stopped there) and its fills are in explore's union.
-The memo is a plain set of keys; it stores no sleep sets.
+The memo is a plain set of keys; it stores no sleep sets.  explore's
+union is built once, at return: a square was filled in some state entered
+exactly when its bit is in the OR of the memo, the path's keys and the
+current key.
 
 Sleep sets (Godefroid, Partial-Order Methods for the Verification of
 Concurrent Systems, LNCS 1032, 1996): a node's sleep set holds moves whose
@@ -112,7 +121,7 @@ Deadline: every child tried counts toward the wall-clock check, memo hits
 included, and the clock is read every 1024 children, so a long run of memo
 hits cannot overrun max_millis.  A move its node's sleep set skips is not a
 child tried: the awake mask drops it before its ray is searched.  Nor is a
-ray search that finds no EMPTY square: the move only joins the idle mask,
+ray whose mask meets no EMPTY square: the move only joins the idle mask,
 and counts as a child when the idle phase tries it.
 
 SOLVED / UNSOLVED / EXHAUSTED are the status codes solve returns.
@@ -123,7 +132,9 @@ from __future__ import annotations
 import re
 import time
 from bisect import bisect
+from functools import reduce
 from itertools import accumulate
+from operator import or_
 
 EMPTY = 0
 BLANK = 255
@@ -139,6 +150,7 @@ KERNEL = "python"
 
 _TILE = re.compile(b"[\x01-\xfe]")  # a square holding a tile
 _NONZERO = bytes(1) + bytes([1]) * 255  # translates a cell to 1 unless it is EMPTY
+_EMPTY_DIGIT = b"1" + b"0" * 255  # translates a cell to the digit of its bit in an EMPTY mask
 _clock = time.monotonic
 
 
@@ -223,6 +235,44 @@ def _line_bits(tiles: list, position: dict, fwd: int):
                      for d in (fwd, fwd ^ 2)))
 
 
+def _move(move: int, cells: bytes, width: int, position: dict, column: int, bit: list):
+    """A move's (ray mask, side, the bits of its tile's four moves, tile's key bit, value).
+
+    Bit i of the forward board (side 0) is square i and bit size-1-i of the
+    reversed board (side 1) is square i.  Reversing turns the board half a
+    turn, so an R ray becomes an L ray and a D ray a U ray.  The mask holds
+    the ray's squares in the move's side: those left of the tile on its row
+    for L and R, those above it on its column for U and D, so its highest
+    bits are the squares nearest the tile.  column has a bit at the first
+    square of every row.
+    """
+    idx, d = move >> 2, move & 3
+    spent = ((1 << position[move - d]) | (1 << position[move - d + 1])
+             | (1 << position[move - d + 2]) | (1 << position[move - d + 3]))
+    side = int(d == 1 or d == 2)
+    at = len(cells) - 1 - idx if side else idx
+    r, c = divmod(at, width)
+    if d & 1:
+        mask = ((1 << c) - 1) << (at - c)
+    else:
+        mask = column >> (len(cells) - r * width) << c
+    return mask, side, spent, bit[idx], cells[idx]
+
+
+def _number(j: int, nbits: int, bit: list, cover: list, rows: list, cols: list,
+            position: dict, width: int):
+    """Give square j, filled for the first time, key bit nbits and its cover mask."""
+    bit[j] = 1 << nbits
+    r, c = divmod(j, width)
+    for lines, line_no, d in ((rows, r, 1), (cols, c, 2)):
+        line = lines[line_no]
+        if line.__class__ is list:  # the line's first fill
+            line = lines[line_no] = _line_bits(line, position, d)
+        # the tiles before j point at it forward, the rest backward
+        at = bisect(line[0], j)
+        cover[j] |= line[1][at] | (line[2][-1] - line[2][at])
+
+
 def _search(cells: bytes, width: int, target: int, max_states: int,
             max_millis: int, prune_zero: bool, early_exit: bool):
     """The traversal behind solve and explore; see the module docstring.
@@ -235,42 +285,27 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
     deadline = _clock() + max_millis / 1000.0 if max_millis else 0.0
     check_at = _CHECK_EVERY if max_millis else 0
     order = move_order(cells, width, *divmod(target, width))
-    size = len(cells)
-    height = size // width
-    cur = bytearray(cells)  # row-major: square r * width + c
-    colm = bytearray(b"".join(cells[c::width] for c in range(width)))  # at c * height + r
-    row_find, row_rfind, col_find, col_rfind = cur.find, cur.rfind, colm.find, colm.rfind
-
-    # per move position: (the copy's find or rfind, the ray's bounds in that
-    # copy, whether it runs forward, i -> row-major square i * mul + add, the
-    # bits of its tile's four moves, its tile's key bit, the tile's value)
     position = dict(zip(order, range(len(order))))
-    moves: list = [None] * len(order)
-    rows = [[] for _ in range(height)]  # row -> its tiles, left to right; later _line_bits
+    size = len(cells)
+    top = size - 1
+    column = ((1 << size) - 1) // ((1 << width) - 1)  # a bit at the first square of every row
+    empty = cells.translate(_EMPTY_DIGIT)
+    fwd, rev = int(empty[::-1], 2), int(empty, 2)  # the EMPTY squares, forward and reversed
+    moves: list = [None] * len(order)  # per move position, once tried: _move's tuple
+    rows = [[] for _ in range(size // width)]  # row -> its tiles, left to right; later _line_bits
     cols = [[] for _ in range(width)]  # column -> its tiles, top to bottom; the same
+    bit = [0] * size  # square -> its key bit: a tile's from the start, others once filled
     for nbits, match in enumerate(_TILE.finditer(cells)):  # row-major, so lines come out sorted
         idx = match.start()
-        r, c = divmod(idx, width)
-        move = idx * 4
-        up, right, down, left = (position[move], position[move + 1],
-                                 position[move + 2], position[move + 3])
-        spent = (1 << up) | (1 << right) | (1 << down) | (1 << left)
-        tb, k, top = 1 << nbits, cells[idx], c * height
-        shift = c - top * width
-        moves[up] = (col_rfind, top, top + r, False, width, shift, spent, tb, k)
-        moves[right] = (row_find, idx + 1, idx - c + width, True, 1, 0, spent, tb, k)
-        moves[down] = (col_find, top + r + 1, top + height, True, width, shift, spent, tb, k)
-        moves[left] = (row_rfind, idx - c, idx, False, 1, 0, spent, tb, k)
-        rows[r].append(idx)
-        cols[c].append(idx)
+        bit[idx] = 1 << nbits
+        rows[idx // width].append(idx)
+        cols[idx % width].append(idx)
     nbits = len(order) // 4
-    bit = [0] * size  # square -> its key bit, once filled (tiles' bits are in moves)
     cover = [0] * size  # square -> the bits of the moves whose rays cross it, once filled
-    twin = [0] * size  # square -> its index in the column-major copy, once filled
 
-    union = None if early_exit else bytearray(cells.translate(_NONZERO))
     fillable = cells[target] != EMPTY
     memo = set()
+    status = EXHAUSTED  # unless the walk finishes
     states = ticks = key = idle = 0  # idle: unspent moves known to fill nothing here
     live = awake = (1 << len(order)) - 1  # unspent moves; moves neither asleep nor tried here
     stack = []  # per ancestor frame: (awake, position played, filled, key, live, idle)
@@ -280,55 +315,55 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
         if ready:
             low = ready & -ready
             p = low.bit_length() - 1
-            find, lo, hi, fwd, mul, add, spent, delta, k = moves[p]
-            i = find(EMPTY, lo, hi)
-            if i < 0:
+            move = moves[p]
+            if move is None:  # the move's first try
+                move = moves[p] = _move(order[p], cells, width, position, column, bit)
+            mask, side, spent, delta, k = move
+            m = mask & (rev if side else fwd)
+            if not m:
                 idle |= low
                 continue
-            filled = []
-            while True:
-                j = i * mul + add
-                b = bit[j]
-                if not b:
-                    b = bit[j] = 1 << nbits
-                    nbits += 1
-                    r, c = divmod(j, width)
-                    twin[j] = c * height + r
-                    for lines, n, d in ((rows, r, 1), (cols, c, 2)):
-                        line = lines[n]
-                        if line.__class__ is list:  # the line's first fill
-                            line = lines[n] = _line_bits(line, position, d)
-                        # the tiles before j point at it forward, the rest backward
-                        at = bisect(line[0], j)
-                        cover[j] |= line[1][at] | (line[2][-1] - line[2][at])
-                delta |= b
-                filled.append(j)
-                k -= 1
-                if not k:
-                    break
-                if fwd:
-                    lo = i + 1
-                else:
-                    hi = i
-                i = find(EMPTY, lo, hi)
-                if i < 0:
-                    break
+            # the ray's EMPTY squares, nearest first, are m's highest bits
+            n = m.bit_length() - 1
+            j = top - n if side else n
+            if not bit[j]:
+                _number(j, nbits, bit, cover, rows, cols, position, width)
+                nbits += 1
+            delta |= bit[j]
+            dep = spent | cover[j]  # the moves that may not commute with this one
+            filled = [j]
+            if k > 1:
+                m ^= 1 << n
+                while m and len(filled) < k:
+                    n = m.bit_length() - 1
+                    j = top - n if side else n
+                    if not bit[j]:
+                        _number(j, nbits, bit, cover, rows, cols, position, width)
+                        nbits += 1
+                    delta |= bit[j]
+                    dep |= cover[j]
+                    filled.append(j)
+                    m ^= 1 << n
         elif awake and not prune_zero:  # every move left here is idle
             low = awake & -awake
             p = low.bit_length() - 1
-            spent, delta = moves[p][6:8]
+            _, _, spent, delta, _ = moves[p]
+            dep = spent
             filled = []
         else:
             memo.add(key)
             states += 1
             if not stack:
-                return UNSOLVED, [], states, fillable, union
+                status = UNSOLVED
+                break
             awake, p, filled, key, live, idle = stack.pop()
             for j in filled:
-                cur[j] = EMPTY
-                colm[twin[j]] = EMPTY
-            if states >= max_states > 0:
-                return EXHAUSTED, [], states, fillable, union
+                fwd ^= 1 << j
+                rev ^= 1 << (top - j)
+            # states grows by one and is compared after every step but the
+            # root's last, so == stops where >= would; max_states <= 0 never does
+            if states == max_states:
+                break
             continue
 
         awake ^= low
@@ -336,7 +371,7 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
         if ticks == check_at:
             check_at += _CHECK_EVERY
             if _clock() > deadline:
-                return EXHAUSTED, [], states, fillable, union
+                break
         child = key ^ delta
         if child in memo:
             # an expanded state, so its fills are in union already and its
@@ -346,19 +381,30 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
             if early_exit:
                 return SOLVED, [order[f[1]] for f in stack] + [order[p]], states, True, None
             fillable = True
-        if union is not None:
-            for j in filled:
-                union[j] = 1
-
+        child_live = live ^ spent
+        child_awake = (awake | dep) & child_live
+        if not child_awake:  # a leaf: expanded as soon as it is entered
+            memo.add(child)
+            states += 1
+            if states == max_states:
+                break
+            continue
         stack.append((awake, p, filled, key, live, idle))
-        dep = spent  # the moves that may not commute with this one
         for j in filled:
-            cur[j] = BLANK
-            colm[twin[j]] = BLANK
-            dep |= cover[j]
-        live ^= spent
-        awake = (awake | dep) & live
-        key = child
+            fwd ^= 1 << j
+            rev ^= 1 << (top - j)
+        live, awake, key = child_live, child_awake, child
+
+    if early_exit:
+        return status, [], states, fillable, None
+    # the squares filled in some state entered: the memoized ones, the
+    # path's and the current one
+    seen = reduce(or_, memo, key | reduce(or_, (f[3] for f in stack), 0))
+    union = bytearray(cells.translate(_NONZERO))
+    for j, b in enumerate(bit):
+        if b & seen:
+            union[j] = 1
+    return status, [], states, fillable, union
 
 
 def solve(cells: bytes, width: int, height: int, target: int,

@@ -13,10 +13,11 @@ moves explored last).  The search core ranks the start board's moves once
 per search and at each node takes those whose tile is unspent.  That is
 exact because a move only blanks its own tile and fills empty squares: no
 square ever gains or changes a number, so every reachable state's tiles are
-a subset of the start board's.  The core plays and undoes moves on a
-row-major and a column-major copy of one board, so every ray is one run a
-C-level find searches; undo restores a node's state bit for bit, so a node
-resumed after a child's subtree sees the same moves it started with.  A
+a subset of the start board's.  The core keeps the board's empty squares
+as two ints, one with its bits in reverse order, so every ray's nearest
+empty square is the highest bit of the ray's mask in one of them; popping
+a child restores the node's state bit for bit, so a node resumed after a
+child's subtree sees the same moves it started with.  A
 move found to fill nothing is known to fill nothing in the whole subtree
 below, since moves only ever fill empty squares.  Sleep sets skip a
 move whose child is provably memoized already: moves of different tiles

@@ -328,3 +328,116 @@ def test_unlimited_search_never_reads_the_clock(monkeypatch):
     board = tile_strip(5)
     assert isinstance(solver.solve(board), solver.Unsolvable)
 
+
+
+# The core keeps the board as two ints of EMPTY squares, bit i = square i and
+# bit size-1-i = square i, and a ray's nearest EMPTY square is the highest
+# bit of its mask in one of them.  CPython stores ints in 30-bit digits, so
+# boards of 29-33, 59-65 and 119-129 cells put squares on both sides of a
+# digit boundary and of 64 bits.
+DIGIT_EDGE_SIZES = [*range(29, 34), *range(59, 66), *range(119, 130)]
+
+
+def shapes(size):
+    """One row, one column, and the most nearly square board of size cells with sides >= 4."""
+    out = [(size, 1), (1, size)]
+    w = max((w for w in range(4, int(size ** 0.5) + 1) if size % w == 0), default=None)
+    if w is not None:
+        out += [(w, size // w), (size // w, w)]
+    return out
+
+
+def line_board(size):
+    """Blanks but for EMPTY squares 0, size // 2 and size-1, and tiles 3 at 1 and 2 at size-2.
+
+    The 3's backward ray ends at square 0, and its forward one fills
+    size // 2 and size-1 past the blanks and the 2.  The 2's backward ray
+    fills size // 2 and then square 0, past the 3; its forward ray is
+    square size-1 alone.
+    """
+    cells = bytearray([BLANK]) * size
+    cells[0] = cells[size // 2] = cells[-1] = EMPTY
+    cells[1], cells[-2] = 3, 2
+    return bytes(cells)
+
+
+def border_board(w, h):
+    """Blanks but for EMPTY corners and edge middles, 1s beside square 0 and 3s in two corners.
+
+    The top-right 3 fills the top row leftward to square 0 past the 1 on
+    it, and the bottom-left 3 the left column upward; their other rays
+    along the edges end at square size-1.
+    """
+    cells = bytearray([BLANK]) * (w * h)
+    for r, c in ((0, 0), (h - 1, w - 1), (0, w // 2), (h - 1, w // 2), (h // 2, 0),
+                 (h // 2, w - 1)):
+        cells[r * w + c] = EMPTY
+    cells[1] = cells[w] = 1
+    cells[w - 1] = cells[(h - 1) * w] = 3
+    return bytes(cells)
+
+
+@pytest.mark.parametrize("size", DIGIT_EDGE_SIZES)
+def test_line_rays_end_at_square_0_and_size_minus_1(size):
+    cells = line_board(size)
+    for w, h in shapes(size)[:2]:
+        back, ahead = (3, 1) if h == 1 else (0, 2)  # L and R, or U and D
+        assert search.apply_encoded(cells, w, h, 4 + back)[1] == [0]
+        assert search.apply_encoded(cells, w, h, 4 + ahead)[1] == [size // 2, size - 1]
+        assert search.apply_encoded(cells, w, h, (size - 2) * 4 + back)[1] == [size // 2, 0]
+        assert search.apply_encoded(cells, w, h, (size - 2) * 4 + ahead)[1] == [size - 1]
+        for target in (0, size // 2, size - 1):
+            assert_same_as_reference_and_bfs(cells, w, h, target)
+
+
+@pytest.mark.parametrize("size", [s for s in DIGIT_EDGE_SIZES if len(shapes(s)) > 2])
+def test_border_rays_end_at_square_0_and_size_minus_1(size):
+    for w, h in shapes(size)[2:]:
+        cells = border_board(w, h)
+        corner = (h - 1) * w
+        assert search.apply_encoded(cells, w, h, (w - 1) * 4 + 3)[1] == [w // 2, 0]
+        assert search.apply_encoded(cells, w, h, corner * 4)[1] == [h // 2 * w, 0]
+        assert search.apply_encoded(cells, w, h, (w - 1) * 4 + 2)[1] == [
+            h // 2 * w + w - 1, w * h - 1]
+        assert search.apply_encoded(cells, w, h, corner * 4 + 1)[1] == [
+            corner + w // 2, w * h - 1]
+        for target in (0, w * h - 1, w // 2):
+            assert_same_as_reference_and_bfs(cells, w, h, target)
+
+
+@pytest.mark.parametrize("size", DIGIT_EDGE_SIZES)
+def test_search_matches_reference_and_bfs_across_int_digit_boundaries(size):
+    # sparse tiles of values 1-3 among many blanks, so rays skip far
+    rng = random.Random(700 + size)
+    for w, h in shapes(size):
+        for _ in range(3):
+            cells = bytearray(rng.choice((EMPTY, BLANK, BLANK)) for _ in range(size))
+            for i in rng.sample(range(size), 5):
+                cells[i] = rng.randint(1, 3)
+            assert_same_as_reference_and_bfs(bytes(cells), w, h, rng.randrange(size))
+
+
+def test_threshold_sweep_visits_591849_states_and_keeps_the_law():
+    # the gadget-explore sweep in one direction: plain b <= 5 and shifted
+    # b <= 4, every pre-filled subset, on the box plus a ring of one square
+    total = 0
+    for shifted, b_max in ((False, 5), (True, 4)):
+        for b in range(1, b_max + 1):
+            bp = gadgets.make_threshold((0, 0), "H", "R", b, b, shifted=shifted)
+            for subset in itertools.product((0, 1), repeat=b):
+                board = gadgets.isolated_board(bp, [i for i in range(b) if subset[i]])
+                w, h = board.width, board.height
+                target = board.target[0] * w + board.target[1]
+                fillable, union, states, complete = search.explore(
+                    board.cells, w, h, target, 0, 0)
+                assert complete
+                total += states
+                j = sum(subset)
+                # the target for k lies b - k squares before the one for k = b
+                assert [union[target - (b - k)] for k in range(1, b + 1)] == [
+                    int(j >= k) for k in range(1, b + 1)]
+                assert fillable == (j >= b)
+                ring = [r * w + c for r in range(h) for c in range(w)
+                        if r in (0, h - 1) or c in (0, w - 1)]
+                assert not any(union[i] for i in ring)
+    assert total == 591849

@@ -62,6 +62,16 @@ def test_variable_verdicts_at_length_4():
                                for dirs in itertools.product("LR", repeat=4)}
 
 
+def test_variable_verdicts_hold_the_measured_reach(monkeypatch):
+    # a reach that counts its start square reads one more on each side
+    reach = verify._reach
+    monkeypatch.setattr(verify, "_reach", lambda *args: reach(*args) + 1)
+    report = verify.certify_variable(4)
+    assert not report.passed
+    assert report.verdicts == {dirs: (dirs.count("L") + 1, dirs.count("R") + 1)
+                               for dirs in itertools.product("LR", repeat=4)}
+
+
 def test_crossover_verdicts():
     # vertical first lengthens the horizontal reach from j + 1 to j + 2;
     # horizontal first leaves the vertical gadget its one-source law
