@@ -247,8 +247,9 @@ def _move(move: int, cells: bytes, width: int, position: dict, column: int, bit:
     square of every row.
     """
     idx, d = move >> 2, move & 3
-    spent = ((1 << position[move - d]) | (1 << position[move - d + 1])
-             | (1 << position[move - d + 2]) | (1 << position[move - d + 3]))
+    up = idx * 4  # the tile's first move
+    spent = ((1 << position[up]) | (1 << position[up + 1]) | (1 << position[up + 2])
+             | (1 << position[up + 3]))
     side = int(d == 1 or d == 2)
     at = len(cells) - 1 - idx if side else idx
     r, c = divmod(at, width)
@@ -323,7 +324,8 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
             if not m:
                 idle |= low
                 continue
-            # the ray's EMPTY squares, nearest first, are m's highest bits
+            # the ray's EMPTY squares, nearest first, are m's highest bits; the
+            # first fill is peeled out of the loop, since most tiles are 1s
             n = m.bit_length() - 1
             j = top - n if side else n
             if not bit[j]:
