@@ -284,9 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="emit a single gadget board + JSON sidecar")
     p.add_argument("kind", choices=["threshold", "shifted-threshold", "wire", "variable"])
     p.add_argument("out")
-    p.add_argument("--sources", type=int, default=5, help="gap count b")
-    p.add_argument("-k", type=int, default=3, help="threshold parameter")
-    p.add_argument("--length", type=int, default=8, help="variable length L")
+    p.add_argument("--sources", type=_bounded_int(1), default=5, help="gap count b")
+    p.add_argument("-k", type=_bounded_int(1), default=3,
+                   help="threshold parameter, at most --sources")
+    p.add_argument("--length", type=_bounded_int(2, even=True), default=8,
+                   help="variable length L")
     p.set_defaults(func=cmd_gadget)
 
     p = sub.add_parser("oracle", help="brute-force satisfiability of an instance")
@@ -320,6 +322,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.func is cmd_gadget and args.kind.endswith("threshold") and args.k > args.sources:
+            parser.error(f"argument -k: must be <= --sources ({args.sources}), got {args.k}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

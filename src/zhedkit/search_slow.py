@@ -15,20 +15,17 @@ scan and sort of the node would.  ordered_moves and apply_encoded compute
 a node's list and a move's result statelessly; the traversal does not call
 them, and they stay as the reference the tests compare it against.
 
-Board state: the traversal keeps the board as two ints of its EMPTY
-squares.  In the forward one bit i is square i; in the reversed one bit
-size-1-i is.  Reversing turns the board half a turn, so an R ray becomes an
-L ray and a D ray a U ray.  Each move has a ray mask in one of the two:
-L and U in the forward board, R and D in the reversed one.  The mask's
-highest bits are the squares nearest the tile, so the nearest EMPTY square
-is the highest set bit of mask & board (one AND and one bit_length) and a
-move's k fills are the k highest.  A move's mask and tuple are built on its
-first try.  A move turns the EMPTY squares it fills into BLANK and changes
-nothing else: the BLANK its tile leaves needs no bit, since a tile square is
-not EMPTY either way, and a spent tile is told from an unspent one by a
-mask.  Every move of the start board's order has a position, and a position
-has a bit in the int masks below; "live" holds the moves of unspent tiles,
-and playing a tile clears its four moves' bits.
+Board state: the traversal keeps the board as one int of its EMPTY
+squares, bit i for square i.  Each move has a ray mask in it.  The nearest
+EMPTY square on an L or U ray is the highest set bit of mask & board (one
+AND and one bit_length), and on an R or D ray the lowest (m & -m), so a
+move's k fills are the k highest or lowest.  A move's mask and tuple are
+built on its first try.  A move turns the EMPTY squares it fills into BLANK
+and changes nothing else: the BLANK its tile leaves needs no bit, since a
+tile square is not EMPTY either way, and a spent tile is told from an
+unspent one by a mask.  Every move of the start board's order has a
+position, and a position has a bit in the int masks below; "live" holds the
+moves of unspent tiles, and playing a tile clears its four moves' bits.
 
 Idle moves, found lazily: a move is idle at a state when no EMPTY square is
 left on its ray.  A frame keeps an "idle" mask of moves known to be idle at
@@ -50,33 +47,37 @@ child restores it.
 Frames: a frame is a mask of the moves still "awake" at its node, neither
 asleep (below) nor tried there yet, with awake a subset of live; trying a
 child clears the child's bit.  A frame saves its awake, live and idle masks,
-the position it played, the squares that move filled and its key.  Entering
-the child XORs those squares' bits out of both board ints and popping it
-XORs them back in, so whenever a frame resumes it reads the masks and the
-board of its own state.  (A frame keeps the squares, not the parent's board
-ints: on a board of 10 K squares two ints take about 2.7 KB, and a
-500-state solve there runs more than 300 frames deep.)  A child whose awake
-mask is 0 is a leaf: it would finish as soon as it was entered, so it is
-memoized and counted where it is found, with no frame.
+the position it played, the squares that move filled and its key.  The
+squares are the one square filled, or a list only when the tile's value is
+above 1 (none for an idle move).  Entering the child XORs those squares'
+bits out of the board int and popping it XORs them back in, so whenever a
+frame resumes it reads the masks and the board of its own state.  (A frame
+keeps the squares, not the parent's board int: on a board of 10 K squares
+it takes about 1.4 KB, and a 500-state solve there runs more than 300
+frames deep.)  A child whose awake mask is 0 is a leaf: it would finish as
+soon as it was entered, so it is memoized and counted where it is found,
+with no frame.
 
 Memoization: a state enters the memo set only after its whole subtree was
 expanded without reaching the target.  States on the recursion path cannot
 repeat (every move consumes a tile), so no on-path tracking is needed.  A
 state's key is an integer with one bit per square that differs from the
 start board; playing a move XORs in the bits of its tile and its filled
-squares, and popping it restores the parent's key.  The key is exact, not a hash: a move only turns its tile
-and EMPTY squares into BLANK, so a reachable state is the start board with
-a set of squares made BLANK, and that set determines it.  Tiles get their
+squares, and popping it restores the parent's key.  The key is exact, not
+a hash: a move only turns its tile and EMPTY squares into BLANK, so a
+reachable state is the start board with a set of squares made BLANK, and
+that set determines it.  Tiles get their
 bit numbers first, in row-major order, and other squares theirs in the
 order they are first filled, so a key is no longer than the number of
 squares the search has touched; a number never changes within a search, so
 equal states get equal keys.  A child whose key is in the memo
 is skipped before anything else: it was expanded before, so its target is
 empty (solve would have stopped there) and its fills are in explore's union.
-The memo is a plain set of keys; it stores no sleep sets.  explore's
-union is built once, at return: a square was filled in some state entered
-exactly when its bit is in the OR of the memo, the path's keys and the
-current key.
+The memo is a plain set of keys; it stores no sleep sets.  explore reads
+its union and fillable from the key bits, at return: a square that is not
+a tile has a bit exactly when some state entered fills it, since a child's
+fills are numbered only after the last check that could stop the walk
+before the child is entered, and a memo hit was entered before.
 
 Sleep sets (Godefroid, Partial-Order Methods for the Verification of
 Concurrent Systems, LNCS 1032, 1996): a node's sleep set holds moves whose
@@ -89,8 +90,9 @@ its row and the L moves of those after it, and the same for D and U on its
 column.  It is read, on the square's first fill, from running sums of its
 row's and column's move bits with one bisect each, and cached.  In a
 frame's terms, the child's awake mask is (its parent's, t already cleared,
-| dep(t)) & live.  Call a candidate of a state a move the search would try
-there: unspent, and effective under prune_zero.
+| the cover masks of t's fills) & its own live mask, which has no move of
+t's tile.  Call a candidate of a state a move the search would try there:
+unspent, and effective under prune_zero.
 
 1. Independence.  Let t and u be moves of different tiles at state s, and
    let u's ray cross none of t's fills (u not in dep(t)).  Then u fills the
@@ -117,12 +119,13 @@ there: unspent, and effective under prune_zero.
    order and returns the same witness, state count and budget outcome.
    Only the number of children tried falls.
 
-Deadline: every child tried counts toward the wall-clock check, memo hits
-included, and the clock is read every 1024 children, so a long run of memo
-hits cannot overrun max_millis.  A move its node's sleep set skips is not a
-child tried: the awake mask drops it before its ray is searched.  Nor is a
-ray whose mask meets no EMPTY square: the move only joins the idle mask,
-and counts as a child when the idle phase tries it.
+Deadline: with max_millis set, every child tried counts toward the
+wall-clock check, memo hits included, and the clock is read every 1024
+children, so a long run of memo hits cannot overrun max_millis.  The check
+comes before the child's fills are found, so a walk it stops has numbered
+no square of a child it did not enter.  A move its node's sleep set skips
+is not a child tried, nor is a ray whose mask meets no EMPTY square: the
+move only joins the idle mask, and counts when the idle phase tries it.
 
 SOLVED / UNSOLVED / EXHAUSTED are the status codes solve returns.
 """
@@ -132,9 +135,7 @@ from __future__ import annotations
 import re
 import time
 from bisect import bisect
-from functools import reduce
 from itertools import accumulate
-from operator import or_
 
 EMPTY = 0
 BLANK = 255
@@ -149,7 +150,6 @@ _CHECK_EVERY = 1024  # children tried between two reads of the clock
 KERNEL = "python"
 
 _TILE = re.compile(b"[\x01-\xfe]")  # a square holding a tile
-_NONZERO = bytes(1) + bytes([1]) * 255  # translates a cell to 1 unless it is EMPTY
 _EMPTY_DIGIT = b"1" + b"0" * 255  # translates a cell to the digit of its bit in an EMPTY mask
 _clock = time.monotonic
 
@@ -236,28 +236,28 @@ def _line_bits(tiles: list, position: dict, fwd: int):
 
 
 def _move(move: int, cells: bytes, width: int, position: dict, column: int, bit: list):
-    """A move's (ray mask, side, the bits of its tile's four moves, tile's key bit, value).
+    """A move's (ray mask, lowest, the bits of its tile's four moves, tile's key bit, value).
 
-    Bit i of the forward board (side 0) is square i and bit size-1-i of the
-    reversed board (side 1) is square i.  Reversing turns the board half a
-    turn, so an R ray becomes an L ray and a D ray a U ray.  The mask holds
-    the ray's squares in the move's side: those left of the tile on its row
-    for L and R, those above it on its column for U and D, so its highest
-    bits are the squares nearest the tile.  column has a bit at the first
-    square of every row.
+    Bit i of the board int is square i.  The mask holds the ray's squares:
+    those left or right of the tile on its row for L and R, those above or
+    below it on its column for U and D.  The squares nearest the tile are
+    the mask's highest bits for L and U and its lowest for R and D (lowest is
+    True).  column has a bit at the first square of every row.
     """
     idx, d = move >> 2, move & 3
     up = idx * 4  # the tile's first move
     spent = ((1 << position[up]) | (1 << position[up + 1]) | (1 << position[up + 2])
              | (1 << position[up + 3]))
-    side = int(d == 1 or d == 2)
-    at = len(cells) - 1 - idx if side else idx
-    r, c = divmod(at, width)
-    if d & 1:
-        mask = ((1 << c) - 1) << (at - c)
-    else:
+    r, c = divmod(idx, width)
+    if d == 0:
         mask = column >> (len(cells) - r * width) << c
-    return mask, side, spent, bit[idx], cells[idx]
+    elif d == 1:
+        mask = ((1 << (width - 1 - c)) - 1) << (idx + 1)
+    elif d == 2:
+        mask = column >> ((r + 1) * width) << (idx + width)
+    else:
+        mask = ((1 << c) - 1) << (idx - c)
+    return mask, d == 1 or d == 2, spent, bit[idx], cells[idx]
 
 
 def _number(j: int, nbits: int, bit: list, cover: list, rows: list, cols: list,
@@ -278,20 +278,16 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
             max_millis: int, prune_zero: bool, early_exit: bool):
     """The traversal behind solve and explore; see the module docstring.
 
-    Returns (status, moves, states, fillable, union).  status is SOLVED only
-    with early_exit, EXHAUSTED when a limit stopped the walk and UNSOLVED
-    when it finished; moves is the witness for SOLVED; union is None with
-    early_exit.
+    Returns (status, moves, states, union).  status is SOLVED only with
+    early_exit, EXHAUSTED when a limit stopped the walk and UNSOLVED when it
+    finished; moves is the witness for SOLVED; union is None with early_exit.
     """
     deadline = _clock() + max_millis / 1000.0 if max_millis else 0.0
-    check_at = _CHECK_EVERY if max_millis else 0
     order = move_order(cells, width, *divmod(target, width))
     position = dict(zip(order, range(len(order))))
     size = len(cells)
-    top = size - 1
     column = ((1 << size) - 1) // ((1 << width) - 1)  # a bit at the first square of every row
-    empty = cells.translate(_EMPTY_DIGIT)
-    fwd, rev = int(empty[::-1], 2), int(empty, 2)  # the EMPTY squares, forward and reversed
+    board = int(cells.translate(_EMPTY_DIGIT)[::-1], 2)  # bit i: square i is EMPTY
     moves: list = [None] * len(order)  # per move position, once tried: _move's tuple
     rows = [[] for _ in range(size // width)]  # row -> its tiles, left to right; later _line_bits
     cols = [[] for _ in range(width)]  # column -> its tiles, top to bottom; the same
@@ -304,7 +300,6 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
     nbits = len(order) // 4
     cover = [0] * size  # square -> the bits of the moves whose rays cross it, once filled
 
-    fillable = cells[target] != EMPTY
     memo = set()
     status = EXHAUSTED  # unless the walk finishes
     states = ticks = key = idle = 0  # idle: unspent moves known to fill nothing here
@@ -319,39 +314,16 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
             move = moves[p]
             if move is None:  # the move's first try
                 move = moves[p] = _move(order[p], cells, width, position, column, bit)
-            mask, side, spent, delta, k = move
-            m = mask & (rev if side else fwd)
+            mask, lowest, spent, delta, k = move
+            m = mask & board
             if not m:
                 idle |= low
                 continue
-            # the ray's EMPTY squares, nearest first, are m's highest bits; the
-            # first fill is peeled out of the loop, since most tiles are 1s
-            n = m.bit_length() - 1
-            j = top - n if side else n
-            if not bit[j]:
-                _number(j, nbits, bit, cover, rows, cols, position, width)
-                nbits += 1
-            delta |= bit[j]
-            dep = spent | cover[j]  # the moves that may not commute with this one
-            filled = [j]
-            if k > 1:
-                m ^= 1 << n
-                while m and len(filled) < k:
-                    n = m.bit_length() - 1
-                    j = top - n if side else n
-                    if not bit[j]:
-                        _number(j, nbits, bit, cover, rows, cols, position, width)
-                        nbits += 1
-                    delta |= bit[j]
-                    dep |= cover[j]
-                    filled.append(j)
-                    m ^= 1 << n
         elif awake and not prune_zero:  # every move left here is idle
             low = awake & -awake
             p = low.bit_length() - 1
             _, _, spent, delta, _ = moves[p]
-            dep = spent
-            filled = []
+            m = 0
         else:
             memo.add(key)
             states += 1
@@ -359,9 +331,11 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
                 status = UNSOLVED
                 break
             awake, p, filled, key, live, idle = stack.pop()
-            for j in filled:
-                fwd ^= 1 << j
-                rev ^= 1 << (top - j)
+            if filled.__class__ is int:
+                board ^= 1 << filled
+            else:
+                for j in filled:
+                    board ^= 1 << j
             # states grows by one and is compared after every step but the
             # root's last, so == stops where >= would; max_states <= 0 never does
             if states == max_states:
@@ -369,20 +343,46 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
             continue
 
         awake ^= low
-        ticks += 1
-        if ticks == check_at:
-            check_at += _CHECK_EVERY
-            if _clock() > deadline:
-                break
+        if max_millis:
+            ticks += 1
+            if ticks == _CHECK_EVERY:
+                ticks = 0
+                if _clock() > deadline:
+                    break
+        if m:
+            # the ray's EMPTY squares, nearest first; the first fill is peeled
+            # out of the loop, since most tiles are 1s
+            j = (m & -m).bit_length() - 1 if lowest else m.bit_length() - 1
+            if not bit[j]:
+                _number(j, nbits, bit, cover, rows, cols, position, width)
+                nbits += 1
+            delta |= bit[j]
+            dep = cover[j]  # the moves whose rays cross a fill; live drops the tile's own
+            filled = j
+            if k > 1:
+                filled = [j]
+                while len(filled) < k:
+                    m ^= 1 << j
+                    if not m:
+                        break
+                    j = (m & -m).bit_length() - 1 if lowest else m.bit_length() - 1
+                    if not bit[j]:
+                        _number(j, nbits, bit, cover, rows, cols, position, width)
+                        nbits += 1
+                    delta |= bit[j]
+                    dep |= cover[j]
+                    filled.append(j)
+                if target in filled:  # the target test below reads j
+                    j = target
+        else:
+            j, filled, dep = -1, (), 0
         child = key ^ delta
         if child in memo:
-            # an expanded state, so its fills are in union already and its
+            # an expanded state, so its fills have key bits already and its
             # target is empty (solve would have stopped there)
             continue
-        if target in filled:
-            if early_exit:
-                return SOLVED, [order[f[1]] for f in stack] + [order[p]], states, True, None
-            fillable = True
+        if j == target and early_exit:
+            return SOLVED, [order[f[1]] for f in stack] + [order[p]], states, None
         child_live = live ^ spent
         child_awake = (awake | dep) & child_live
         if not child_awake:  # a leaf: expanded as soon as it is entered
@@ -392,21 +392,19 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
                 break
             continue
         stack.append((awake, p, filled, key, live, idle))
-        for j in filled:
-            fwd ^= 1 << j
-            rev ^= 1 << (top - j)
+        if filled.__class__ is int:
+            board ^= 1 << filled
+        else:
+            for j in filled:
+                board ^= 1 << j
         live, awake, key = child_live, child_awake, child
 
     if early_exit:
-        return status, [], states, fillable, None
-    # the squares filled in some state entered: the memoized ones, the
-    # path's and the current one
-    seen = reduce(or_, memo, key | reduce(or_, (f[3] for f in stack), 0))
-    union = bytearray(cells.translate(_NONZERO))
-    for j, b in enumerate(bit):
-        if b & seen:
-            union[j] = 1
-    return status, [], states, fillable, union
+        return status, [], states, None
+    # a square has a key bit exactly when some state entered fills it or it
+    # is a tile: every fill was numbered on its way into a state entered
+    union = bytearray(bool(b or c) for b, c in zip(bit, cells))
+    return status, [], states, union
 
 
 def solve(cells: bytes, width: int, height: int, target: int,
@@ -418,8 +416,8 @@ def solve(cells: bytes, width: int, height: int, target: int,
     """
     if cells[target] != EMPTY:
         return SOLVED, [], 0
-    status, moves, states, _, _ = _search(cells, width, target, max_states,
-                                          max_millis, prune_zero, True)
+    status, moves, states, _ = _search(cells, width, target, max_states,
+                                       max_millis, prune_zero, True)
     return status, moves, states
 
 
@@ -432,6 +430,6 @@ def explore(cells: bytes, width: int, height: int, target: int,
     the start state) and fillable reports whether any reachable state has
     the target filled.  complete is False when a limit stopped the walk.
     """
-    status, _, states, fillable, union = _search(cells, width, target, max_states,
-                                                 max_millis, False, False)
-    return fillable, union, states, status == UNSOLVED
+    status, _, states, union = _search(cells, width, target, max_states,
+                                       max_millis, False, False)
+    return union[target] == 1, union, states, status == UNSOLVED

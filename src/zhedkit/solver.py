@@ -14,8 +14,8 @@ per search and at each node takes those whose tile is unspent.  That is
 exact because a move only blanks its own tile and fills empty squares: no
 square ever gains or changes a number, so every reachable state's tiles are
 a subset of the start board's.  The core keeps the board's empty squares
-as two ints, one with its bits in reverse order, so every ray's nearest
-empty square is the highest bit of the ray's mask in one of them; popping
+as one int, so a ray's nearest empty square is the highest bit of the
+ray's mask for L and U and its lowest for R and D; popping
 a child restores the node's state bit for bit, so a node resumed after a
 child's subtree sees the same moves it started with.  A
 move found to fill nothing is known to fill nothing in the whole subtree

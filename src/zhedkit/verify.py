@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import reducer, rpm3sat
-from .board import BLANK, Board, Move, is_solved, render_board
+from .board import BLANK, Board, Move, apply_move, is_solved, render_board
 from .errors import CertificationFailure, NotEmbeddable
 from .gadgets import (instantiate, isolated_board, make_crossover, make_threshold,
                       make_variable)
@@ -143,13 +143,32 @@ def certify_threshold(b_max: int = 5, shifted: bool = False,
     return report
 
 
+def _play_all(board: Board, steps):
+    """The end board of every pick of one move per step, in itertools.product order.
+
+    boards[i] is the board after the first i moves of the last pick, and a
+    pick replays only from its first step that differs from the last one,
+    so each prefix is played once: 2^(n+1) - 2 apply_move calls for n steps
+    of two moves, where replaying every pick takes n 2^n.
+    """
+    boards, last = [board], ()
+    for pick in itertools.product(*steps):
+        i = next((i for i, (a, b) in enumerate(zip(last, pick)) if a is not b), len(last))
+        del boards[i + 1:]
+        for move in pick[i:]:
+            boards.append(apply_move(boards[-1], move))
+        last = pick
+        yield boards[-1]
+
+
 def certify_variable(length: int = 8, artifacts_dir=None) -> GadgetReport:
     """Split safety: readers on both sides never fire together.
 
-    Exhausts all 2^L left/right assignments; a reader at distance d is
-    reached iff the strip's reach on that side is at least d, and readers
-    sit at distances L/2+1 .. L.  verdicts maps each assignment to the
-    (left, right) reach measured after playing it.
+    Exhausts all 2^L left/right assignments, each played left to right and
+    right to left; a reader at distance d is reached iff the strip's reach
+    on that side is at least d, and readers sit at distances L/2+1 .. L.
+    verdicts maps each assignment to the (left, right) reach measured after
+    playing it.
     """
     if length > CERT_L_MAX:
         raise CertificationFailure(
@@ -158,24 +177,35 @@ def certify_variable(length: int = 8, artifacts_dir=None) -> GadgetReport:
     half = length // 2
     bp = make_variable((2, 2 + 3 * half), length)
     board = instantiate([bp], (0, 0), width=bp.bbox[3] + 2, height=5)
-    for dirs in itertools.product("LR", repeat=length):
-        x, y = dirs.count("L"), dirs.count("R")
-        for order in (range(length), reversed(range(length))):
-            moves = [Move(bp.row, bp.col0 + i, dirs[i]) for i in order]
-            end = replay(board, moves)
-            left = _reach(end, bp.tiles[0], (0, -1))
-            right = _reach(end, bp.tiles[-1], (0, 1))
-            if left != x or right != y:
-                report.failures.append(
-                    f"dirs={''.join(dirs)}: reach ({left},{right}), expected ({x},{y})")
-                _save_artifact(artifacts_dir, f"variable-{''.join(dirs)}", end)
-            if left >= half + 1 and right >= half + 1:
-                report.failures.append(
-                    f"dirs={''.join(dirs)}: readers reachable on both sides")
-                _save_artifact(artifacts_dir, f"variable-split-{''.join(dirs)}", end)
-            # the reach measured in the first order; a second order that
-            # measures another one fails above
-            report.verdicts.setdefault(dirs, (left, right))
+    steps = [[Move(bp.row, bp.col0 + i, d) for d in "LR"] for i in range(length)]
+
+    def check(dirs, end):
+        """The (left, right) reach after one play of dirs, and its failures
+        as (message, artifact name, board)."""
+        reach = _reach(end, bp.tiles[0], (0, -1)), _reach(end, bp.tiles[-1], (0, 1))
+        name, x, y = "".join(dirs), dirs.count("L"), dirs.count("R")
+        failures = []
+        if reach != (x, y):
+            failures.append((f"dirs={name}: reach ({reach[0]},{reach[1]}), expected ({x},{y})",
+                             f"variable-{name}", end))
+        if min(reach) >= half + 1:
+            failures.append((f"dirs={name}: readers reachable on both sides",
+                             f"variable-split-{name}", end))
+        return reach, failures
+
+    # right to left plays the reversed assignments, whose picks in product
+    # order share their prefixes too; only the failing plays are kept
+    backward = {}
+    for picked, end in zip(itertools.product("LR", repeat=length), _play_all(board, steps[::-1])):
+        if failures := check(picked[::-1], end)[1]:
+            backward[picked[::-1]] = failures
+    for dirs, end in zip(itertools.product("LR", repeat=length), _play_all(board, steps)):
+        # the verdict is the reach measured left to right; a right-to-left
+        # play that measures another one fails
+        report.verdicts[dirs], failures = check(dirs, end)
+        for message, name, failed in failures + backward.get(dirs, []):
+            report.failures.append(message)
+            _save_artifact(artifacts_dir, name, failed)
     return report
 
 

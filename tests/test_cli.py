@@ -73,6 +73,31 @@ def test_verify_size_past_its_exhaustive_guard_is_a_usage_error(monkeypatch, cap
     assert f"argument {flag}: {reason}" in line
 
 
+@pytest.mark.parametrize("args,reason", [
+    (["threshold", "--sources", "0"], "argument --sources: must be >= 1, got 0"),
+    (["shifted-threshold", "-k", "0"], "argument -k: must be >= 1, got 0"),
+    (["threshold", "-k", "9", "--sources", "3"], "argument -k: must be <= --sources (3), got 9"),
+    (["shifted-threshold", "-k", "4", "--sources", "3"],
+     "argument -k: must be <= --sources (3), got 4"),
+    (["variable", "--length", "3"], "argument --length: must be even, got 3"),
+    (["variable", "--length", "0"], "argument --length: must be >= 2, got 0")])
+def test_gadget_size_out_of_range_is_a_usage_error(tmp_path, capsys, args, reason):
+    # the gadget builders would reject these sizes only after parsing, as a
+    # domain error (exit 1)
+    out = tmp_path / "gadget.txt"
+    assert main(["gadget", args[0], str(out), *args[1:]]) == 2
+    [line] = error_lines(capsys)
+    assert reason in line
+    assert not out.exists()
+
+
+def test_gadget_ignores_k_where_it_has_no_meaning(tmp_path):
+    # a wire is a threshold gadget with one source and k = 1 whatever -k says
+    out = tmp_path / "wire.txt"
+    assert main(["gadget", "wire", str(out), "--sources", "2", "-k", "3"]) == 0
+    assert out.exists()
+
+
 def test_verify_prints_one_row_per_check(capsys):
     # 200 states decide neither compiled board, so the equivalence row fails
     argv = ["verify", "--b-max", "1", "--variable-length", "4", "--samples", "1",

@@ -169,10 +169,9 @@ def test_search_matches_reference_and_bfs_on_random_boards_with_values_1_to_3():
         assert search.explore(cells, w, h, t, 0, 0)[2] == bfs_states(cells, w, h)
 
 
-@pytest.mark.parametrize("shifted,b_max", [(False, 3), (True, 2)])
-def test_search_matches_reference_and_bfs_on_threshold_boards(shifted, b_max):
-    # the gadget-explore boards: every pre-filled subset, all four directions;
-    # the target is fillable exactly when every source is
+def threshold_boards(shifted, b_max):
+    """The gadget-explore boards up to b_max gaps: (subset, cells, w, h, target),
+    for every pre-filled subset and all four directions."""
     for b in range(1, b_max + 1):
         for subset in itertools.product((0, 1), repeat=b):
             for forward in "URDL":
@@ -180,11 +179,39 @@ def test_search_matches_reference_and_bfs_on_threshold_boards(shifted, b_max):
                                             forward, b, b, shifted=shifted)
                 board = gadgets.isolated_board(bp, [i for i in range(b) if subset[i]])
                 w, h = board.width, board.height
-                t = board.target[0] * w + board.target[1]
-                assert_same_as_reference(board.cells, w, h, t, 0)
-                fillable, _, states, _ = search.explore(board.cells, w, h, t, 0, 0)
-                assert fillable == all(subset)
-                assert states == bfs_states(board.cells, w, h)
+                yield subset, board.cells, w, h, board.target[0] * w + board.target[1]
+
+
+@pytest.mark.parametrize("shifted,b_max", [(False, 3), (True, 2)])
+def test_search_matches_reference_and_bfs_on_threshold_boards(shifted, b_max):
+    # the target is fillable exactly when every source is
+    for subset, cells, w, h, t in threshold_boards(shifted, b_max):
+        assert_same_as_reference(cells, w, h, t, 0)
+        fillable, _, states, _ = search.explore(cells, w, h, t, 0, 0)
+        assert fillable == all(subset)
+        assert states == bfs_states(cells, w, h)
+
+
+@pytest.mark.parametrize("budget", [1, 7, 50])
+@pytest.mark.parametrize("shifted,b_max", [(False, 3), (True, 2)])
+def test_partial_walks_match_reference_on_threshold_boards(shifted, b_max, budget):
+    # a walk stopped by its budget: explore's union and fillable come from
+    # the squares the states entered so far fill
+    for _, cells, w, h, t in threshold_boards(shifted, b_max):
+        assert_same_as_reference(cells, w, h, t, budget)
+
+
+@pytest.mark.parametrize("shifted,b_max", [(False, 3), (True, 2)])
+def test_a_walk_stopped_before_its_first_child_fills_nothing(monkeypatch, shifted, b_max):
+    # the clock is read before every child and passes the deadline at the
+    # first: no state was entered, so nothing is filled, not even the squares
+    # of the child the walk was about to try
+    monkeypatch.setattr(search_slow, "_CHECK_EVERY", 1)
+    for _, cells, w, h, t in threshold_boards(shifted, b_max):
+        monkeypatch.setattr(search_slow, "_clock", JumpingClock())
+        fillable, union, states, complete = search.explore(cells, w, h, t, 0, 1)
+        assert (fillable, bytes(union), states, complete) == (
+            False, bytes(1 if v else 0 for v in cells), 0, False)
 
 
 @pytest.mark.parametrize("text", ["p rpm3sat 1\npos 1\n", "p rpm3sat 2\npos 1 2\n",
@@ -330,11 +357,11 @@ def test_unlimited_search_never_reads_the_clock(monkeypatch):
 
 
 
-# The core keeps the board as two ints of EMPTY squares, bit i = square i and
-# bit size-1-i = square i, and a ray's nearest EMPTY square is the highest
-# bit of its mask in one of them.  CPython stores ints in 30-bit digits, so
-# boards of 29-33, 59-65 and 119-129 cells put squares on both sides of a
-# digit boundary and of 64 bits.
+# The core keeps the board as one int of EMPTY squares, bit i = square i, and
+# a ray's nearest EMPTY square is the highest bit of its mask for L and U and
+# the lowest for R and D.  CPython stores ints in 30-bit digits, so boards of
+# 29-33, 59-65 and 119-129 cells put squares on both sides of a digit
+# boundary and of 64 bits.
 DIGIT_EDGE_SIZES = [*range(29, 34), *range(59, 66), *range(119, 130)]
 
 

@@ -4,8 +4,11 @@ gadget certifiers."""
 
 import itertools
 
+import pytest
+
 from zhedkit import gadgets, verify
-from zhedkit.solver import SolveLimits
+from zhedkit.board import Move
+from zhedkit.solver import SolveLimits, replay
 
 # 200 states decide none of these boards, so the first one exhausts the budget
 TINY = SolveLimits(max_states=200)
@@ -70,6 +73,49 @@ def test_variable_verdicts_hold_the_measured_reach(monkeypatch):
     assert not report.passed
     assert report.verdicts == {dirs: (dirs.count("L") + 1, dirs.count("R") + 1)
                                for dirs in itertools.product("LR", repeat=4)}
+
+
+def flat_certify_variable(length):
+    """certify_variable replaying every assignment in full, in both play orders."""
+    report = verify.GadgetReport()
+    half = length // 2
+    bp = verify.make_variable((2, 2 + 3 * half), length)
+    board = verify.instantiate([bp], (0, 0), width=bp.bbox[3] + 2, height=5)
+    for dirs in itertools.product("LR", repeat=length):
+        x, y = dirs.count("L"), dirs.count("R")
+        for order in (range(length), reversed(range(length))):
+            end = replay(board, [Move(bp.row, bp.col0 + i, dirs[i]) for i in order])
+            left = verify._reach(end, bp.tiles[0], (0, -1))
+            right = verify._reach(end, bp.tiles[-1], (0, 1))
+            if left != x or right != y:
+                report.failures.append(
+                    f"dirs={''.join(dirs)}: reach ({left},{right}), expected ({x},{y})")
+            if left >= half + 1 and right >= half + 1:
+                report.failures.append(f"dirs={''.join(dirs)}: readers reachable on both sides")
+            report.verdicts.setdefault(dirs, (left, right))
+    return report
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+def test_variable_prefix_replay_matches_a_flat_replay(length):
+    report, flat = verify.certify_variable(length), flat_certify_variable(length)
+    assert (report.verdicts, report.failures) == (flat.verdicts, flat.failures)
+
+
+def test_variable_prefix_replay_matches_a_flat_replay_on_a_failing_strip(monkeypatch):
+    # a 2 as the second tile reaches one square farther on the side it is
+    # played to, so every assignment fails, in both play orders
+    def strip_with_a_2(blueprints, *args, **kwargs):
+        board = gadgets.instantiate(blueprints, *args, **kwargs)
+        r, c = blueprints[0].tiles[1]
+        cells = bytearray(board.cells)
+        cells[r * board.width + c] = 2
+        return type(board)(board.width, board.height, board.target, bytes(cells))
+
+    monkeypatch.setattr(verify, "instantiate", strip_with_a_2)
+    report, flat = verify.certify_variable(6), flat_certify_variable(6)
+    assert len(report.failures) == 2 ** 6 * 2
+    assert (report.verdicts, report.failures) == (flat.verdicts, flat.failures)
 
 
 def test_crossover_verdicts():
