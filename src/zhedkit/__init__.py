@@ -7,16 +7,16 @@ from the start board), so an Unsolvable verdict rests on no hash.  There is
 no compiled extension.
 """
 
-from .board import (BLANK, EMPTY, Board, Move, apply_move, canonical_encoding,
-                    is_solved, legal_moves, parse_board, render_board)
+from .board import (BLANK, EMPTY, Board, Move, apply_move, is_solved, legal_moves,
+                    parse_board, render_board)
 from .solver import (ResourceExhausted, Solvable, SolveLimits, Unsolvable,
                      parse_trace, render_trace, replay, solve)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BLANK", "EMPTY", "Board", "Move", "apply_move", "canonical_encoding",
-    "is_solved", "legal_moves", "parse_board", "render_board",
+    "BLANK", "EMPTY", "Board", "Move", "apply_move", "is_solved", "legal_moves",
+    "parse_board", "render_board",
     "ResourceExhausted", "Solvable", "SolveLimits", "Unsolvable",
     "parse_trace", "render_trace", "replay", "solve", "__version__",
 ]

@@ -13,7 +13,6 @@ bytearray of the cells instead.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -135,18 +134,6 @@ def legal_moves(board: Board) -> list[Move]:
 def is_solved(board: Board) -> bool:
     """True iff the target square is filled (Blank or Numbered)."""
     return board.cells[board.target[0] * board.width + board.target[1]] != EMPTY
-
-
-def canonical_encoding(board: Board) -> bytes:
-    """Deterministic byte encoding, injective over boards.
-
-    Two boards of equal dimensions and target encode equally iff their cell
-    arrays are identical; the header makes the encoding injective across
-    shapes as well.  Used by test fixtures; the search keys its memo by
-    bitmasks of changed squares instead.
-    """
-    tr, tc = board.target
-    return struct.pack("<IIII", board.width, board.height, tr, tc) + board.cells
 
 
 # -- text format --------------------------------------------------------------

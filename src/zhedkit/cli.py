@@ -107,7 +107,7 @@ def cmd_compile(args) -> int:
 
 def cmd_solve(args) -> int:
     board = parse_board(_read(args.board))
-    result = solve(board, _limits(args), prune_zero_effect=args.prune_zero_effect)
+    result = solve(board, _limits(args))
     if isinstance(result, Solvable):
         trace = render_trace(result.moves)
         if args.out_trace:
@@ -267,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide solvability of a board")
     p.add_argument("board")
     p.add_argument("out_trace", nargs="?")
-    p.add_argument("--prune-zero-effect", action="store_true",
-                   help="skip moves that fill nothing (sound, off by default)")
     add_limits(p)
     p.set_defaults(func=cmd_solve)
 

@@ -8,10 +8,10 @@ mask's highest bit for L and U and its lowest for R and D), the frames that
 XOR a move's fills out and back in, the leaves memoized where they are
 found, the idle moves it finds lazily and lets children inherit, and the
 sleep sets that keep it from trying children whose state is already
-memoized.  kernel also exposes the
-stateless reference helpers move_order(), ordered_moves() and
-apply_encoded(), and KERNEL names the implementation a benchmark result
-was recorded on.
+memoized.  move_order() ranks the start board's moves once per search;
+kernel also exposes the stateless reference helpers ordered_moves() and
+apply_encoded(), which the traversal does not call, and KERNEL names the
+implementation a benchmark result was recorded on.
 """
 
 from . import search_slow as kernel

@@ -8,12 +8,16 @@ walks every reachable state and collects the squares they fill.
 
 Move ordering: move_order ranks every move of the start board once per
 search (ray toward the target first, then row-major by tile, then URDL).
-At each node the moves of spent tiles drop out of that list and the moves
-that fill nothing go last (or are pruned).  The tiles of a reachable state
-are a subset of the start board's tiles, so this gives the same list a full
-scan and sort of the node would.  ordered_moves and apply_encoded compute
-a node's list and a move's result statelessly; the traversal does not call
-them, and they stay as the reference the tests compare it against.
+At each node the moves of spent tiles drop out of that list.  solve tries
+only the moves that fill something (solver says why that is exact);
+explore tries the idle ones, which fill nothing, after them, since states
+that differ only in spent tiles are distinct states of its count.  The
+tiles of a reachable state are a subset of the start board's tiles, so
+this gives the same list a full scan and sort of the node would.
+ordered_moves (solve's list with prune_zero, explore's without) and
+apply_encoded compute a node's list and a move's result statelessly; the
+traversal does not call them, and they stay as the reference the tests
+compare it against.
 
 Board state: the traversal keeps the board as one int of its EMPTY
 squares, bit i for square i.  Each move has a ray mask in it.  The nearest
@@ -32,17 +36,16 @@ left on its ray.  A frame keeps an "idle" mask of moves known to be idle at
 its node.  Its next child is the lowest awake move (below) not in that mask
 whose ray mask meets an EMPTY square; a move whose mask meets none joins
 the mask instead, and the frame looks at the next one.  Once every awake
-move is known idle, the frame tries those in position order, unless
-prune_zero, and then finishes.  This is ordered_moves' order: effective
-moves first, then idle ones, each group in position order.  A child starts
-with its parent's idle mask, which is sound because the search is monotone:
-a move turns its tile and EMPTY squares into BLANK and makes no square EMPTY,
-so the EMPTY squares on a ray at a descendant are a subset of those at its
-ancestor, and a move idle at a node is idle at every node below it.  The
-converse fails: a move idle at a child may still fill something at the
-parent, so a discovery made below a frame must not reach the frame or its
-other children.  It does not: each frame saves its own mask, and popping a
-child restores it.
+move is known idle, the frame finishes, in explore after trying those in
+position order (the idle phase).  This is ordered_moves' order.  A child
+starts with its parent's idle mask, which is sound because the search is
+monotone: a move turns its tile and EMPTY squares into BLANK and makes no
+square EMPTY, so the EMPTY squares on a ray at a descendant are a subset
+of those at its ancestor, and a move idle at a node is idle at every node
+below it.  The converse fails: a move idle at a child may still fill
+something at the parent, so a discovery made below a frame must not reach
+the frame or its other children.  It does not: each frame saves its own
+mask, and popping a child restores it.
 
 Frames: a frame is a mask of the moves still "awake" at its node, neither
 asleep (below) nor tried there yet, with awake a subset of live; trying a
@@ -92,7 +95,7 @@ row's and column's move bits with one bisect each, and cached.  In a
 frame's terms, the child's awake mask is (its parent's, t already cleared,
 | the cover masks of t's fills) & its own live mask, which has no move of
 t's tile.  Call a candidate of a state a move the search would try there:
-unspent, and effective under prune_zero.
+unspent, and in solve also effective.
 
 1. Independence.  Let t and u be moves of different tiles at state s, and
    let u's ray cross none of t's fills (u not in dep(t)).  Then u fills the
@@ -125,7 +128,8 @@ children, so a long run of memo hits cannot overrun max_millis.  The check
 comes before the child's fills are found, so a walk it stops has numbered
 no square of a child it did not enter.  A move its node's sleep set skips
 is not a child tried, nor is a ray whose mask meets no EMPTY square: the
-move only joins the idle mask, and counts when the idle phase tries it.
+move only joins the idle mask, and counts only when explore's idle phase
+tries it.
 
 SOLVED / UNSOLVED / EXHAUSTED are the status codes solve returns.
 """
@@ -175,8 +179,8 @@ def ordered_moves(cells, width: int, height: int, order: list[int],
     """The moves of this state: `order` without spent tiles, effective first.
 
     A move fills something when an EMPTY square lies on its ray.  Moves that
-    fill something come first, then (unless prune_zero) the zero-effect ones,
-    each group in the order of `order`.
+    fill something come first, then (unless prune_zero, as in solve) the
+    zero-effect ones, each group in the order of `order`.
 
     Filtering the start board's order is exact: a move only blanks its own
     tile square and fills EMPTY squares, so a numbered square never gains or
@@ -275,7 +279,7 @@ def _number(j: int, nbits: int, bit: list, cover: list, rows: list, cols: list,
 
 
 def _search(cells: bytes, width: int, target: int, max_states: int,
-            max_millis: int, prune_zero: bool, early_exit: bool):
+            max_millis: int, early_exit: bool):
     """The traversal behind solve and explore; see the module docstring.
 
     Returns (status, moves, states, union).  status is SOLVED only with
@@ -319,7 +323,7 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
             if not m:
                 idle |= low
                 continue
-        elif awake and not prune_zero:  # every move left here is idle
+        elif awake and not early_exit:  # every move left here is idle
             low = awake & -awake
             p = low.bit_length() - 1
             _, _, spent, delta, _ = moves[p]
@@ -408,7 +412,7 @@ def _search(cells: bytes, width: int, target: int, max_states: int,
 
 
 def solve(cells: bytes, width: int, height: int, target: int,
-          max_states: int, max_millis: int, prune_zero: bool):
+          max_states: int, max_millis: int):
     """Depth-first solvability search.
 
     Returns (status, moves, states) where moves is the encoded witness for
@@ -417,7 +421,7 @@ def solve(cells: bytes, width: int, height: int, target: int,
     if cells[target] != EMPTY:
         return SOLVED, [], 0
     status, moves, states, _ = _search(cells, width, target, max_states,
-                                       max_millis, prune_zero, True)
+                                       max_millis, True)
     return status, moves, states
 
 
@@ -431,5 +435,5 @@ def explore(cells: bytes, width: int, height: int, target: int,
     the target filled.  complete is False when a limit stopped the walk.
     """
     status, _, states, union = _search(cells, width, target, max_states,
-                                       max_millis, False, False)
+                                       max_millis, False)
     return union[target] == 1, union, states, status == UNSOLVED

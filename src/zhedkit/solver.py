@@ -8,9 +8,9 @@ empty squares into blanks.  So an Unsolvable verdict has no collision
 caveat: every state the memo skips was fully expanded before.
 The classification (Solvable / Unsolvable) is independent of exploration
 order; the witness follows the fixed move-ordering heuristic (ray toward
-the target first, ties by row-major coordinate then U,R,D,L; zero-effect
-moves explored last).  The search core ranks the start board's moves once
-per search and at each node takes those whose tile is unspent.  That is
+the target first, ties by row-major coordinate then U,R,D,L).  The search
+core ranks the start board's moves once per search and at each node takes
+those whose tile is unspent and whose ray meets an empty square.  That is
 exact because a move only blanks its own tile and fills empty squares: no
 square ever gains or changes a number, so every reachable state's tiles are
 a subset of the start board's.  The core keeps the board's empty squares
@@ -26,12 +26,14 @@ the t-child need not try u again when u's ray crosses none of t's fills.
 They skip only children the memo would reject, so verdicts, witnesses and
 state counts are those of the search without them.
 
-Zero-effect moves can in fact be pruned soundly: dropping a move that fills
-nothing yields a board whose filled set is equal and whose tile set is a
-subset, and solvability is monotone in both (a solving sequence for the
-smaller board replays on the larger one, filling at least as much).  The
-prune stays opt-in (prune_zero_effect) and off by default; the default
-search explores such moves last instead.
+The search never plays a move that fills nothing (an idle move), and loses
+no verdict or witness by it.  An idle move's child s.t has the same empty
+squares as s and a subset of its tiles, and solvability is monotone in
+both: a solving sequence for s.t replays on s, filling at least as much.
+So s.t is unsolvable whenever every move of s that fills something fails,
+and a search that tried idle moves last would only visit more states: 64
+(one per set of spent tiles) on a board whose six tiles are all blocked,
+where this search visits 1.
 """
 
 from __future__ import annotations
@@ -86,8 +88,7 @@ def decode_move(board: Board, encoded: int) -> Move:
     return Move(idx // board.width, idx % board.width, _DIR_BY_INDEX[d])
 
 
-def solve(board: Board, limits: SolveLimits | None = None, *,
-          prune_zero_effect: bool = False) -> SolveResult:
+def solve(board: Board, limits: SolveLimits | None = None) -> SolveResult:
     """Decide solvability; complete within the given limits.
 
     Solvable results carry a witness that replays to a solved board (checked
@@ -99,7 +100,7 @@ def solve(board: Board, limits: SolveLimits | None = None, *,
     target = board.target[0] * board.width + board.target[1]
     status, encoded, states = search.solve(
         board.cells, board.width, board.height, target,
-        limits.max_states or 0, limits.max_millis or 0, prune_zero_effect)
+        limits.max_states or 0, limits.max_millis or 0)
     if status == search.SOLVED:
         moves = tuple(decode_move(board, m) for m in encoded)
         if not is_solved(replay(board, moves)):

@@ -39,6 +39,15 @@ def test_unsolvable_board_is_a_domain_error(board_file, capsys):
     assert line.startswith("error: Unsolvable: ")
 
 
+def test_board_of_blocked_tiles_is_unsolvable_within_a_small_budget(tmp_path, capsys):
+    # no move fills anything, so the solve decides the board in one state
+    path = tmp_path / "board.txt"
+    path.write_text("zhed v1 7 2\ntarget 1 6\n111111#\n######.\n", encoding="utf-8")
+    assert main(["solve", str(path), "--limits-states", "10"]) == 1
+    [line] = error_lines(capsys)
+    assert line.startswith("error: Unsolvable: ") and line.endswith("(states=1)")
+
+
 @pytest.mark.parametrize("flag", ["--limits-states", "--limits-ms"])
 def test_negative_budget_is_a_usage_error(board_file, capsys, flag):
     path = board_file(board_from_cells(3, 1, (0, 1), {(0, 0): 1}))

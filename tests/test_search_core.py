@@ -139,9 +139,13 @@ def random_board(rng, max_w=6, max_h=5, max_tiles=None, max_value=None):
 
 
 def assert_same_as_reference(cells, w, h, t, budget):
-    for prune in (False, True):
-        want = reference(cells, w, h, t, budget, prune, True)
-        assert search.solve(cells, w, h, t, budget, 0, prune) == tuple(want[:3])
+    want = reference(cells, w, h, t, budget, True, True)
+    assert search.solve(cells, w, h, t, budget, 0) == tuple(want[:3])
+    if not budget:
+        # trying the idle moves too changes neither verdict nor witness, and
+        # visits no fewer states
+        idle_too = reference(cells, w, h, t, 0, False, True)
+        assert idle_too[:2] == want[:2] and idle_too[2] >= want[2]
     want = reference(cells, w, h, t, budget, False, False)
     fillable, union, states, complete = search.explore(cells, w, h, t, budget, 0)
     assert (fillable, bytes(union), states, complete) == (
@@ -253,8 +257,8 @@ def test_a_move_fills_past_blanks_and_tiles(w, h, d):
     # the 3 fills squares 1, 4 and 5 of its line, skipping the blank and the
     # 2; then the 2 fills square 6, past the squares the 3 filled
     cells = bytes([3, EMPTY, BLANK, 2, EMPTY, EMPTY, EMPTY])
-    assert search.solve(cells, w, h, 5, 0, 0, False) == (search.SOLVED, [d], 0)
-    assert search.solve(cells, w, h, 6, 0, 0, True) == (search.SOLVED, [d, 12 + d], 0)
+    assert search.solve(cells, w, h, 5, 0, 0) == (search.SOLVED, [d], 0)
+    assert search.solve(cells, w, h, 6, 0, 0) == (search.SOLVED, [d, 12 + d], 0)
     assert_same_as_reference_and_bfs(cells, w, h, 6)
 
 
@@ -297,16 +301,20 @@ def test_an_idle_move_found_below_a_node_stays_below_it():
             assert_same_as_reference_and_bfs(cells, w, h, t)
 
 
-def tile_strip(count):
-    """`count` adjacent 1-tiles along the top of a 2-row board, one square wider.
+def tile_strip(count, gap=1):
+    """`count` adjacent 1-tiles along the top of a 2-row board, then `gap` empty squares.
 
-    Neighbouring tiles' R (or L) moves commute but share their first empty
-    square, so no sleep set skips the second order and it is a memo hit.
-    With five tiles the unbudgeted walk finds 454 states and tries 1394
-    children; with seven, 4246 states and 16286 children.  The target, the
-    bottom-right corner, is never filled.
+    Neighbouring tiles' R moves commute but fill the same squares in either
+    order, as their L moves, which fill nothing, do in explore; so no sleep
+    set skips the second order and it is a memo hit.  With five tiles and a
+    gap of one, explore finds 454 states and tries 1394 children.  solve
+    plays no move that fills nothing: with six tiles and a gap of six it
+    enters 729 states and tries 1275 children, with eight and eight 6561
+    states and 13668 children.  The target, the bottom-right corner, is
+    never filled.
     """
-    return board_from_cells(count + 1, 2, (1, count), {(0, c): 1 for c in range(count)})
+    return board_from_cells(count + gap, 2, (1, count + gap - 1),
+                            {(0, c): 1 for c in range(count)})
 
 
 class JumpingClock:
@@ -331,17 +339,19 @@ def test_deadline_counts_memo_hits(monkeypatch):
     # hits reaches a check of the clock; the first check, at child 1024, stops
     _, _, states, complete = search.explore(board.cells, 6, 2, target, 0, 1)
     assert not complete and clock.reads == 2 and states < 454
+    board = tile_strip(6, 6)
+    target = board.target[0] * board.width + board.target[1]
+    assert search.solve(board.cells, 12, 2, target, 0, 0) == (search.UNSOLVED, [], 729)
     clock.reads = 0
-    assert search.solve(board.cells, 6, 2, target, 0, 1, False) == (
-        search.EXHAUSTED, [], states)
-    assert clock.reads == 2
+    status, _, states = search.solve(board.cells, 12, 2, target, 0, 1)
+    assert status == search.EXHAUSTED and clock.reads == 2 and states < 729
 
 
 @pytest.mark.parametrize("still", [2, 7, 12])
 def test_deadline_is_checked_every_1024_children(monkeypatch, still):
     # the clock passes the deadline after its still-th read; the search must
     # stop at the next check, 1024 children later
-    board = tile_strip(7)
+    board = tile_strip(8, 8)
     clock = JumpingClock(still)
     monkeypatch.setattr(search_slow, "_clock", clock)
     result = solver.solve(board, solver.SolveLimits(max_millis=1))

@@ -6,7 +6,8 @@ from collections import deque
 
 import pytest
 
-from zhedkit.board import BLANK, EMPTY, Board, Move, apply_move, board_from_cells, is_solved
+from zhedkit.board import (BLANK, EMPTY, Board, Move, apply_move, board_from_cells, is_solved,
+                           parse_board)
 from zhedkit.errors import ParseError, ReplayError
 from zhedkit.gadgets import instantiate, make_threshold
 from zhedkit.solver import (ResourceExhausted, Solvable, SolveLimits, Unsolvable,
@@ -121,22 +122,6 @@ class TestCompleteness:
             want = bfs_solvable(w, h, target, board.cells)
             assert got == want
 
-    def test_prune_zero_effect_preserves_classification(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            w, h = rng.randint(2, 4), rng.randint(1, 3)
-            cells = bytearray(w * h)
-            for i in range(w * h):
-                roll = rng.random()
-                if roll < 0.35:
-                    cells[i] = rng.randint(1, max(1, max(w, h) - 1))
-                elif roll < 0.5:
-                    cells[i] = BLANK
-            board = Board(w, h, (rng.randrange(h), rng.randrange(w)), bytes(cells))
-            plain = solve(board)
-            pruned = solve(board, prune_zero_effect=True)
-            assert isinstance(plain, Solvable) == isinstance(pruned, Solvable)
-
 
 class TestLimits:
     def test_state_budget_reports_exhaustion(self):
@@ -151,6 +136,13 @@ class TestLimits:
         board = instantiate([bp], bp.target)
         result = solve(board, SolveLimits(max_millis=1))
         assert isinstance(result, (ResourceExhausted, Unsolvable))
+
+    def test_blocked_tiles_spend_no_budget(self):
+        # every tile's rays are blocked, so no move fills anything: the search
+        # plays none of them and decides the board in one state, where the
+        # 64 sets of spent tiles would overrun a budget of 10
+        board = parse_board("zhed v1 7 2\ntarget 1 6\n111111#\n######.\n")
+        assert solve(board, SolveLimits(max_states=10)) == Unsolvable(states_visited=1)
 
     def test_limits_validate(self):
         with pytest.raises(ValueError):
