@@ -13,7 +13,6 @@ bytearray of the cells instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import DuplicateTarget, MissingTarget, NotATile, OutOfBounds, ParseError
@@ -32,27 +31,32 @@ class Move(NamedTuple):
     direction: str  # one of "URDL"
 
 
-@dataclass(frozen=True)
-class Board:
+class _BoardFields(NamedTuple):
     width: int
     height: int
     target: tuple[int, int]
     cells: bytes  # row-major; EMPTY, BLANK, or a tile value 1..254
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
+
+class Board(_BoardFields):
+    # the checks run here because a NamedTuple's own body may not define __new__
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int, target: tuple[int, int], cells: bytes):
+        if width < 1 or height < 1:
             raise ValueError("board dimensions must be >= 1")
-        if len(self.cells) != self.width * self.height:
+        if len(cells) != width * height:
             raise ValueError("cell array does not match dimensions")
-        tr, tc = self.target
-        if not (0 <= tr < self.height and 0 <= tc < self.width):
-            raise OutOfBounds(f"target {self.target} outside {self.width}x{self.height} board")
-        bound = max(self.width, self.height) - 1
-        for i, v in enumerate(self.cells):
+        tr, tc = target
+        if not (0 <= tr < height and 0 <= tc < width):
+            raise OutOfBounds(f"target {target} outside {width}x{height} board")
+        bound = max(width, height) - 1
+        for i, v in enumerate(cells):
             if v in (EMPTY, BLANK):
                 continue
             if not 1 <= v <= min(bound, MAX_VALUE):
-                raise ValueError(f"cell {divmod(i, self.width)} has invalid tile value {v}")
+                raise ValueError(f"cell {divmod(i, width)} has invalid tile value {v}")
+        return tuple.__new__(cls, (width, height, target, cells))
 
     # -- helpers ------------------------------------------------------------
 

@@ -30,7 +30,7 @@ the links with them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .board import BLANK, Board, Move
 from .errors import AnchorMismatch, InvalidParam, ParityMismatch, TileCollision
@@ -53,28 +53,41 @@ def rect_union(a, b) -> tuple[int, int, int, int]:
     return min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3])
 
 
-@dataclass
 class GadgetBlueprint:
     """One placed threshold gadget plus its bookkeeping.
 
     Mutable during the build phase (crossover insertion bumps k/target/bbox);
     treated as immutable once the owning puzzle is finalized.
     """
-    gadget_id: str
-    kind: str                 # threshold, wire, clause-or, propagator, and, emitter, ...
-    axis: str                 # "H" or "V"
-    forward: str              # direction of propagation, one of URDL
-    origin: Coord             # rear tile (the shift tile sits one behind it)
-    gaps: int                 # number of sources b
-    k: int
-    shifted: bool
-    fillable: int             # sources fillable by other gadgets (bbox reach)
-    tiles: tuple[Coord, ...] = ()
-    sources: tuple[Coord, ...] = ()
-    target: Coord = (0, 0)
-    bbox: tuple[int, int, int, int] = (0, 0, 0, 0)
-    chained: bool = False
-    prefilled: tuple[Coord, ...] = ()
+    # in __init__'s order, which isolated_board's copy relies on
+    __slots__ = ("gadget_id", "kind", "axis", "forward", "origin", "gaps", "k", "shifted",
+                 "fillable", "tiles", "sources", "target", "bbox", "chained", "prefilled")
+
+    def __init__(self, gadget_id: str, kind: str, axis: str, forward: str, origin: Coord,
+                 gaps: int, k: int, shifted: bool, fillable: int,
+                 tiles: tuple[Coord, ...] = (), sources: tuple[Coord, ...] = (),
+                 target: Coord = (0, 0), bbox: tuple[int, int, int, int] = (0, 0, 0, 0),
+                 chained: bool = False, prefilled: tuple[Coord, ...] = ()):
+        self.gadget_id = gadget_id
+        self.kind = kind          # threshold, wire, clause-or, propagator, and, emitter, ...
+        self.axis = axis          # "H" or "V"
+        self.forward = forward    # direction of propagation, one of URDL
+        self.origin = origin      # rear tile (the shift tile sits one behind it)
+        self.gaps = gaps          # number of sources b
+        self.k = k
+        self.shifted = shifted
+        self.fillable = fillable  # sources fillable by other gadgets (bbox reach)
+        self.tiles = tiles
+        self.sources = sources
+        self.target = target
+        self.bbox = bbox
+        self.chained = chained
+        self.prefilled = prefilled
+
+    def __eq__(self, other):
+        """Field by field; the other mutable build records share this method."""
+        return type(other) is type(self) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def delta(self) -> Coord:
@@ -95,7 +108,6 @@ class GadgetBlueprint:
         self.prefilled = tuple((r + dr, c + dc) for r, c in self.prefilled)
 
 
-@dataclass
 class VariableBlueprint:
     """L consecutive tiles on the central row plus its attach windows.
 
@@ -104,16 +116,24 @@ class VariableBlueprint:
     reach wires on both sides.  The bounding box allows for rays lengthened
     by skipping over already-expanded wire sources: 3L/2 columns per side.
     """
-    gadget_id: str
-    row: int
-    col0: int                 # leftmost tile column
-    length: int               # L, even
-    tiles: tuple[Coord, ...] = ()
-    bbox: tuple[int, int, int, int] = (0, 0, 0, 0)
-    left_window: tuple[int, int] = (0, 0)    # inclusive column range
-    right_window: tuple[int, int] = (0, 0)
+    __slots__ = ("gadget_id", "row", "col0", "length", "tiles", "bbox",
+                 "left_window", "right_window", "kind")
 
-    kind: str = "variable"
+    def __init__(self, gadget_id: str, row: int, col0: int, length: int,
+                 tiles: tuple[Coord, ...] = (), bbox: tuple[int, int, int, int] = (0, 0, 0, 0),
+                 left_window: tuple[int, int] = (0, 0), right_window: tuple[int, int] = (0, 0),
+                 kind: str = "variable"):
+        self.gadget_id = gadget_id
+        self.row = row
+        self.col0 = col0                  # leftmost tile column
+        self.length = length              # L, even
+        self.tiles = tiles
+        self.bbox = bbox
+        self.left_window = left_window    # inclusive column range
+        self.right_window = right_window
+        self.kind = kind
+
+    __eq__ = GadgetBlueprint.__eq__
 
     def translate(self, dr: int, dc: int) -> None:
         self.row += dr
@@ -128,31 +148,34 @@ class VariableBlueprint:
         return tuple(Move(r, c, direction) for r, c in self.tiles)
 
 
-@dataclass(frozen=True)
-class ThickWire:
-    """g parallel wires, 4 apart, joining one variable to one clause bar."""
+class _ThickWireFields(NamedTuple):
     g: int
     wires: tuple[GadgetBlueprint, ...]
 
-    def __post_init__(self):
-        if self.g != len(self.wires):
+
+class ThickWire(_ThickWireFields):
+    """g parallel wires, 4 apart, joining one variable to one clause bar."""
+    __slots__ = ()
+
+    def __new__(cls, g: int, wires: tuple[GadgetBlueprint, ...]):
+        if g != len(wires):
             raise InvalidParam("thickness does not match wire count")
-        axes = {w.axis for w in self.wires}
+        axes = {w.axis for w in wires}
         if len(axes) != 1:
             raise InvalidParam("thick wire components must share an axis")
-        coord = 1 if self.wires[0].axis == "V" else 0
-        lanes = sorted(w.origin[coord] for w in self.wires)
+        coord = 1 if wires[0].axis == "V" else 0
+        lanes = sorted(w.origin[coord] for w in wires)
         for a, b in zip(lanes, lanes[1:]):
             if b - a != 4:
                 raise InvalidParam(f"wire separation {b - a}, expected 4")
-        for i, a in enumerate(self.wires):
-            for b in self.wires[i + 1:]:
+        for i, a in enumerate(wires):
+            for b in wires[i + 1:]:
                 if rects_intersect(a.bbox, b.bbox):
                     raise InvalidParam("component wire bounding boxes overlap")
+        return tuple.__new__(cls, (g, wires))
 
 
-@dataclass(frozen=True)
-class CrossoverSpec:
+class CrossoverSpec(NamedTuple):
     horizontal: GadgetBlueprint
     vertical: GadgetBlueprint
 
@@ -161,8 +184,7 @@ class CrossoverSpec:
         return (self.horizontal.origin[0], self.vertical.origin[1])
 
 
-@dataclass(frozen=True)
-class ChainedPair:
+class ChainedPair(NamedTuple):
     upstream: GadgetBlueprint
     downstream: GadgetBlueprint
 
@@ -171,8 +193,7 @@ class ChainedPair:
         return self.upstream.target
 
 
-@dataclass(frozen=True)
-class ReadLink:
+class ReadLink(NamedTuple):
     """A wire whose rear source sits on a variable's row, inside its reach."""
     variable: VariableBlueprint
     wire: GadgetBlueprint
@@ -443,7 +464,8 @@ def isolated_board(blueprint: GadgetBlueprint,
     """
     r0, c0, r1, c1 = rect_union(blueprint.bbox, (*blueprint.target, *blueprint.target))
     dr, dc = 1 - r0, 1 - c0
-    work = replace(blueprint)
+    # a copy, so the caller's blueprint stays where it is
+    work = GadgetBlueprint(*(getattr(blueprint, name) for name in GadgetBlueprint.__slots__))
     work.translate(dr, dc)
     extra = tuple(work.sources[i] for i in prefill_sources)
     work.prefilled = work.prefilled + extra

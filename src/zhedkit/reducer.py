@@ -41,7 +41,7 @@ translates the blueprints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .board import Board, Move
 from .errors import (EmbeddingInvalid, LayoutOverflow, ParityUnfixable,
@@ -58,8 +58,7 @@ MARGIN = 2     # column spacing between footprints of unlinked gadgets
 ROW_PITCH = 3  # least row pitch per clause level
 
 
-@dataclass
-class ClauseRecord:
+class ClauseRecord(NamedTuple):
     index: int
     polarity: str
     level: int
@@ -71,14 +70,12 @@ class ClauseRecord:
     corridor_col: int
 
 
-@dataclass
-class VariableRecord:
+class VariableRecord(NamedTuple):
     index: int
     blueprint: VariableBlueprint
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     variables: list[VariableRecord]
     clauses: list[ClauseRecord]
     upper: GadgetBlueprint        # extreme AND (or constant emitter) above
@@ -100,8 +97,7 @@ class Certificate:
         return out
 
 
-@dataclass
-class CompiledPuzzle:
+class CompiledPuzzle(NamedTuple):
     board: Board
     certificate: Certificate
     formula: Formula
@@ -110,22 +106,31 @@ class CompiledPuzzle:
 
 # -- internal planning --------------------------------------------------------
 
-@dataclass
 class _ClausePlan:
-    ci: int
-    polarity: str
-    level: int
-    var_positions: list[int]      # sorted positions of its variables
-    lpos: int
-    rpos: int
-    x_bar: int = 0
-    x_prop: int = 0
-    crossed: list[int] = field(default_factory=list)  # clause indices whose bar we pierce
-    g: int = 1
-    bar_shift: int = 0            # 1 when the bar is a shift gadget
-    prop_shift: int = 0
-    wire_cols: dict = field(default_factory=dict)     # var position -> list of columns
-    corridor: int | None = None
+    __slots__ = ("ci", "polarity", "level", "var_positions", "lpos", "rpos", "x_bar",
+                 "x_prop", "crossed", "g", "bar_shift", "prop_shift", "wire_cols", "corridor")
+
+    def __init__(self, ci: int, polarity: str, level: int, var_positions: list[int],
+                 lpos: int, rpos: int, x_bar: int = 0, x_prop: int = 0,
+                 crossed: list[int] | None = None, g: int = 1, bar_shift: int = 0,
+                 prop_shift: int = 0, wire_cols: dict | None = None,
+                 corridor: int | None = None):
+        self.ci = ci
+        self.polarity = polarity
+        self.level = level
+        self.var_positions = var_positions  # sorted positions of its variables
+        self.lpos = lpos
+        self.rpos = rpos
+        self.x_bar = x_bar
+        self.x_prop = x_prop
+        self.crossed = [] if crossed is None else crossed  # clause indices whose bar we pierce
+        self.g = g
+        self.bar_shift = bar_shift    # 1 when the bar is a shift gadget
+        self.prop_shift = prop_shift
+        self.wire_cols = {} if wire_cols is None else wire_cols  # var position -> list of columns
+        self.corridor = corridor
+
+    __eq__ = GadgetBlueprint.__eq__
 
 
 def _plan_clauses(formula: Formula, embedding: Embedding) -> list[_ClausePlan]:
@@ -155,21 +160,27 @@ def _plan_clauses(formula: Formula, embedding: Embedding) -> list[_ClausePlan]:
     return plans
 
 
-@dataclass
-class _WindowItem:
+class _WindowItem(NamedTuple):
     plan: _ClausePlan
     role: int            # 1 rightmost var here, 2 middle, 3 leftmost
     rear_host: bool      # this window holds the clause's rear tile
 
 
-@dataclass
 class _WindowLayout:
-    items: list[_WindowItem] = field(default_factory=list)
-    wire_offsets: dict = field(default_factory=dict)   # clause index -> [offsets]
-    corridor_offsets: dict = field(default_factory=dict)
-    last_wire: int = -1
-    rel_min: int = 0
-    rel_max: int = -1
+    __slots__ = ("items", "wire_offsets", "corridor_offsets", "last_wire", "rel_min", "rel_max")
+
+    def __init__(self, items: list[_WindowItem] | None = None, wire_offsets: dict | None = None,
+                 corridor_offsets: dict | None = None, last_wire: int = -1,
+                 rel_min: int = 0, rel_max: int = -1):
+        self.items = [] if items is None else items
+        # clause index -> [offsets]
+        self.wire_offsets = {} if wire_offsets is None else wire_offsets
+        self.corridor_offsets = {} if corridor_offsets is None else corridor_offsets
+        self.last_wire = last_wire
+        self.rel_min = rel_min
+        self.rel_max = rel_max
+
+    __eq__ = GadgetBlueprint.__eq__
 
 
 def _layout_window(items: list[_WindowItem]) -> _WindowLayout:
@@ -473,7 +484,7 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
     dr, dc = 1 - box[0], 1 - box[1]
     for bp in certificate.gadget_blueprints():
         bp.translate(dr, dc)
-    certificate.target = (target[0] + dr, target[1] + dc)
+    certificate = certificate._replace(target=(target[0] + dr, target[1] + dc))
 
     board = instantiate(certificate.gadget_blueprints(), certificate.target,
                         width=box[3] - box[1] + 3, height=box[2] - box[0] + 3)
@@ -520,8 +531,7 @@ def intended_solution(puzzle: CompiledPuzzle, assignment) -> list[Move]:
 
 # -- audits ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuditViolation:
+class AuditViolation(NamedTuple):
     first: str
     second: str
     detail: str

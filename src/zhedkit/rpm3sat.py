@@ -13,7 +13,7 @@ reduction at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (ArityError, BadVariableIndex, NonMonotoneClause,
                      NotEmbeddable, ParseError, TooManyVariables)
@@ -24,34 +24,42 @@ NEGATIVE = "neg"
 SAT_ORACLE_MAX_VARS = 24
 
 
-@dataclass(frozen=True)
-class Clause:
+class _ClauseFields(NamedTuple):
     polarity: str          # POSITIVE or NEGATIVE
     vars: tuple[int, ...]  # 1..3 distinct 1-based variable indices, sorted
 
-    def __post_init__(self):
-        if self.polarity not in (POSITIVE, NEGATIVE):
-            raise ValueError(f"bad polarity {self.polarity!r}")
-        if not 1 <= len(self.vars) <= 3:
-            raise ArityError(f"clause has {len(self.vars)} literals, expected 1..3")
-        if len(set(self.vars)) != len(self.vars):
-            raise ArityError(f"duplicate literal in clause {self.vars}")
-        if tuple(sorted(self.vars)) != self.vars:
+
+class Clause(_ClauseFields):
+    __slots__ = ()
+
+    def __new__(cls, polarity: str, vars: tuple[int, ...]):
+        if polarity not in (POSITIVE, NEGATIVE):
+            raise ValueError(f"bad polarity {polarity!r}")
+        if not 1 <= len(vars) <= 3:
+            raise ArityError(f"clause has {len(vars)} literals, expected 1..3")
+        if len(set(vars)) != len(vars):
+            raise ArityError(f"duplicate literal in clause {vars}")
+        if tuple(sorted(vars)) != vars:
             raise ValueError("clause variables must be sorted")
+        return tuple.__new__(cls, (polarity, vars))
 
 
-@dataclass(frozen=True)
-class Formula:
+class _FormulaFields(NamedTuple):
     num_vars: int
     clauses: tuple[Clause, ...]
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+
+class Formula(_FormulaFields):
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, clauses: tuple[Clause, ...]):
+        if num_vars < 1:
             raise ValueError("need at least one variable")
-        for cl in self.clauses:
+        for cl in clauses:
             for v in cl.vars:
-                if not 1 <= v <= self.num_vars:
-                    raise BadVariableIndex(f"variable {v} outside 1..{self.num_vars}")
+                if not 1 <= v <= num_vars:
+                    raise BadVariableIndex(f"variable {v} outside 1..{num_vars}")
+        return tuple.__new__(cls, (num_vars, clauses))
 
     def evaluate(self, assignment: tuple[bool, ...]) -> bool:
         if len(assignment) != self.num_vars:
@@ -66,8 +74,7 @@ class Formula:
         return True
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     var_order: tuple[int, ...]     # permutation of 1..n, left to right
     clause_level: tuple[int, ...]  # level >= 1 per clause, within its side
 
@@ -75,8 +82,7 @@ class Embedding:
         return self.var_order.index(var)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     clauses: tuple[int, ...]  # 0-based clause indices involved
     detail: str

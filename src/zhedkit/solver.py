@@ -38,7 +38,7 @@ where this search visits 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import search
 from .board import Board, Move, apply_move, is_solved
@@ -48,36 +48,49 @@ _DIR_BY_INDEX = "URDL"
 _INDEX_BY_DIR = {d: i for i, d in enumerate(_DIR_BY_INDEX)}
 
 
-@dataclass(frozen=True)
-class SolveLimits:
-    """Search budget; None means unlimited.  Both must be positive when set."""
+class _Limits(NamedTuple):
     max_states: int | None = None
     max_millis: int | None = None
 
-    def __post_init__(self):
-        if self.max_states is not None and self.max_states <= 0:
+
+class SolveLimits(_Limits):
+    """Search budget; None means unlimited.  Both must be positive when set."""
+    __slots__ = ()
+
+    def __new__(cls, max_states: int | None = None, max_millis: int | None = None):
+        if max_states is not None and max_states <= 0:
             raise ValueError("max_states must be positive")
-        if self.max_millis is not None and self.max_millis <= 0:
+        if max_millis is not None and max_millis <= 0:
             raise ValueError("max_millis must be positive")
+        return tuple.__new__(cls, (max_states, max_millis))
 
 
 UNLIMITED = SolveLimits()
 
 
-@dataclass(frozen=True)
-class Solvable:
+def _same_verdict(self, other) -> bool:
+    """Verdicts of different types differ, even when their fields agree."""
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _other_verdict(self, other) -> bool:
+    return not _same_verdict(self, other)
+
+
+class Solvable(NamedTuple):
     moves: tuple[Move, ...]
     states_visited: int
+    __eq__, __ne__ = _same_verdict, _other_verdict
 
 
-@dataclass(frozen=True)
-class Unsolvable:
+class Unsolvable(NamedTuple):
     states_visited: int
+    __eq__, __ne__ = _same_verdict, _other_verdict
 
 
-@dataclass(frozen=True)
-class ResourceExhausted:
+class ResourceExhausted(NamedTuple):
     states_visited: int
+    __eq__, __ne__ = _same_verdict, _other_verdict
 
 
 SolveResult = Solvable | Unsolvable | ResourceExhausted

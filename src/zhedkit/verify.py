@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import reducer, rpm3sat
 from .board import BLANK, Board, Move, apply_move, is_solved, render_board
 from .errors import CertificationFailure, NotEmbeddable
-from .gadgets import (instantiate, isolated_board, make_crossover, make_threshold,
-                      make_variable)
+from .gadgets import (GadgetBlueprint, instantiate, isolated_board, make_crossover,
+                      make_threshold, make_variable)
 from .rpm3sat import Formula, render_instance, sat_oracle
 from .solver import (Solvable, SolveLimits, Unsolvable, render_trace, replay,
                      solve)
@@ -36,18 +36,21 @@ CERT_B_MAX = 6  # search-space guard for exhaustive threshold certification
 CERT_L_MAX = 10  # 2^L move orders bound exhaustive variable certification
 
 
-@dataclass
 class GadgetReport:
-    verdicts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
+    __slots__ = ("verdicts", "failures")
+
+    def __init__(self, verdicts: dict | None = None, failures: list | None = None):
+        self.verdicts = {} if verdicts is None else verdicts
+        self.failures = [] if failures is None else failures
+
+    __eq__ = GadgetBlueprint.__eq__
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     formula: str
     oracle_satisfiable: bool
     solver_verdict: str         # "solvable" | "unsolvable" | "exhausted" | "skipped"
