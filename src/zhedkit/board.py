@@ -50,11 +50,10 @@ class Board(_BoardFields):
         tr, tc = target
         if not (0 <= tr < height and 0 <= tc < width):
             raise OutOfBounds(f"target {target} outside {width}x{height} board")
-        bound = max(width, height) - 1
-        for i, v in enumerate(cells):
-            if v in (EMPTY, BLANK):
-                continue
-            if not 1 <= v <= min(bound, MAX_VALUE):
+        limit = min(max(width, height) - 1, MAX_VALUE)  # EMPTY (0) and BLANK pass the test below
+        for v in cells:
+            if limit < v < BLANK:
+                i = cells.index(v)  # the first bad cell: an earlier v would have stopped the loop
                 raise ValueError(f"cell {divmod(i, width)} has invalid tile value {v}")
         return tuple.__new__(cls, (width, height, target, cells))
 
@@ -102,24 +101,25 @@ def apply_move(board: Board, move: Move) -> Board:
     min(k, available) Empty squares before the edge become Blank.  Raises
     NotATile when the selected square is Empty or Blank.
     """
+    width, height, target, board_cells = board
     idx = board.index(move.row, move.col)
-    k = board.cells[idx]
+    k = board_cells[idx]
     if k in (EMPTY, BLANK):
         raise NotATile(f"square ({move.row}, {move.col}) holds no numbered tile")
     if move.direction not in _DELTAS:
         raise ValueError(f"bad direction {move.direction!r}")
     dr, dc = _DELTAS[move.direction]
-    cells = bytearray(board.cells)
+    cells = bytearray(board_cells)
     cells[idx] = BLANK
     r, c = move.row + dr, move.col + dc
-    while k and 0 <= r < board.height and 0 <= c < board.width:
-        j = r * board.width + c
+    while k and 0 <= r < height and 0 <= c < width:
+        j = r * width + c
         if cells[j] == EMPTY:
             cells[j] = BLANK
             k -= 1
         r += dr
         c += dc
-    return Board(board.width, board.height, board.target, bytes(cells))
+    return Board(width, height, target, bytes(cells))
 
 
 def legal_moves(board: Board) -> list[Move]:

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zhedkit.board import (BLANK, EMPTY, Board, Move, apply_move, board_from_cells,
@@ -125,6 +125,34 @@ boards = st.builds(
     st.lists(st.sampled_from([EMPTY, EMPTY, EMPTY, BLANK, 1, 2, 3, 4]),
              min_size=30, max_size=30),
     st.integers(0, 100), st.integers(0, 100))
+
+
+@st.composite
+def grids(draw):
+    """(width, height, cells) with sides 1..8 and any cell bytes, tile-sized ones favoured."""
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cell = st.one_of(st.sampled_from([EMPTY, BLANK]), st.integers(1, 9), st.integers(0, 255))
+    return w, h, bytes(draw(st.lists(cell, min_size=w * h, max_size=w * h)))
+
+
+class TestCellCheck:
+    @given(grids())
+    @example((256, 1, bytes([254]) + bytes(255)))  # 254 is the cap however wide the board
+    @example((5, 3, bytes(7) + bytes([4]) + bytes(7)))  # side - 1 is accepted
+    @example((5, 3, bytes(7) + bytes([5]) + bytes(7)))  # side is rejected
+    @example((1, 1, bytes([1])))  # a 1x1 board can hold no tile
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_tile_values_up_to_the_side(self, grid):
+        w, h, cells = grid
+        limit = min(max(w, h) - 1, 254)
+        bad = [(i, v) for i, v in enumerate(cells) if v not in (EMPTY, BLANK) and v > limit]
+        if not bad:
+            assert Board(w, h, (0, 0), cells).cells == cells
+            return
+        i, v = bad[0]  # row-major order: the message names the first bad cell
+        with pytest.raises(ValueError) as err:
+            Board(w, h, (0, 0), cells)
+        assert str(err.value) == f"cell {divmod(i, w)} has invalid tile value {v}"
 
 
 class TestInvariants:
