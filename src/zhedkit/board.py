@@ -22,7 +22,7 @@ BLANK = 255
 MAX_VALUE = 254  # 255 is the Blank sentinel in the cell byte array
 
 DIRECTIONS = "URDL"
-_DELTAS = {"U": (-1, 0), "R": (0, 1), "D": (1, 0), "L": (0, -1)}
+DELTAS = {"U": (-1, 0), "R": (0, 1), "D": (1, 0), "L": (0, -1)}
 
 
 class Move(NamedTuple):
@@ -106,9 +106,9 @@ def apply_move(board: Board, move: Move) -> Board:
     k = board_cells[idx]
     if k in (EMPTY, BLANK):
         raise NotATile(f"square ({move.row}, {move.col}) holds no numbered tile")
-    if move.direction not in _DELTAS:
+    if move.direction not in DELTAS:
         raise ValueError(f"bad direction {move.direction!r}")
-    dr, dc = _DELTAS[move.direction]
+    dr, dc = DELTAS[move.direction]
     cells = bytearray(board_cells)
     cells[idx] = BLANK
     r, c = move.row + dr, move.col + dc

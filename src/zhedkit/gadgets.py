@@ -16,26 +16,27 @@ the parity-fixing tool of the layout.
 
 Bounding boxes are closed rectangles, 3 squares across the axis.  Forward
 reach is fillable+1 (+1 when shifted), where fillable counts the sources
-other gadgets can actually fill; constructors default fillable to all
+other gadgets can actually fill; make_threshold defaults fillable to all
 sources, which matches exhaustive certification, while the reducer passes
-the true connected count.  Chaining or a crossover lengthens the affected
-boxes by one square per the interaction.
+the true connected count.  The count only sizes the box; the blueprint does
+not keep it.  Chaining or a crossover lengthens the affected boxes by one
+square per the interaction.
 
 make_clause assembles a whole clause (an OR bar fed by thick wires); it is
 the only clause builder, used by the reducer and by the tests alike.  The
 link records (ChainedPair, CrossoverSpec, ReadLink) compute their anchor
 squares from the blueprints they join, so translating the blueprints moves
-the links with them.
+the links with them.  The blueprints are mutable, slotted records that the
+links and the certificate share, so they compare by identity.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .board import BLANK, Board, Move
+from .board import BLANK, DELTAS, Board, Move
 from .errors import AnchorMismatch, InvalidParam, ParityMismatch, TileCollision
 
-_DELTAS = {"U": (-1, 0), "R": (0, 1), "D": (1, 0), "L": (0, -1)}
 _AXIS_OF = {"U": "V", "D": "V", "L": "H", "R": "H"}
 
 Coord = tuple[int, int]
@@ -61,13 +62,12 @@ class GadgetBlueprint:
     """
     # in __init__'s order, which isolated_board's copy relies on
     __slots__ = ("gadget_id", "kind", "axis", "forward", "origin", "gaps", "k", "shifted",
-                 "fillable", "tiles", "sources", "target", "bbox", "chained", "prefilled")
+                 "tiles", "sources", "target", "bbox", "prefilled", "chained")
 
     def __init__(self, gadget_id: str, kind: str, axis: str, forward: str, origin: Coord,
-                 gaps: int, k: int, shifted: bool, fillable: int,
-                 tiles: tuple[Coord, ...] = (), sources: tuple[Coord, ...] = (),
-                 target: Coord = (0, 0), bbox: tuple[int, int, int, int] = (0, 0, 0, 0),
-                 chained: bool = False, prefilled: tuple[Coord, ...] = ()):
+                 gaps: int, k: int, shifted: bool, tiles: tuple[Coord, ...],
+                 sources: tuple[Coord, ...], target: Coord, bbox: tuple[int, int, int, int],
+                 prefilled: tuple[Coord, ...], chained: bool = False):
         self.gadget_id = gadget_id
         self.kind = kind          # threshold, wire, clause-or, propagator, and, emitter, ...
         self.axis = axis          # "H" or "V"
@@ -76,22 +76,16 @@ class GadgetBlueprint:
         self.gaps = gaps          # number of sources b
         self.k = k
         self.shifted = shifted
-        self.fillable = fillable  # sources fillable by other gadgets (bbox reach)
         self.tiles = tiles
         self.sources = sources
         self.target = target
         self.bbox = bbox
-        self.chained = chained
         self.prefilled = prefilled
-
-    def __eq__(self, other):
-        """Field by field; the other mutable build records share this method."""
-        return type(other) is type(self) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__)
+        self.chained = chained
 
     @property
     def delta(self) -> Coord:
-        return _DELTAS[self.forward]
+        return DELTAS[self.forward]
 
     @property
     def activation_order(self) -> tuple[Move, ...]:
@@ -117,12 +111,11 @@ class VariableBlueprint:
     by skipping over already-expanded wire sources: 3L/2 columns per side.
     """
     __slots__ = ("gadget_id", "row", "col0", "length", "tiles", "bbox",
-                 "left_window", "right_window", "kind")
+                 "left_window", "right_window")
 
     def __init__(self, gadget_id: str, row: int, col0: int, length: int,
-                 tiles: tuple[Coord, ...] = (), bbox: tuple[int, int, int, int] = (0, 0, 0, 0),
-                 left_window: tuple[int, int] = (0, 0), right_window: tuple[int, int] = (0, 0),
-                 kind: str = "variable"):
+                 tiles: tuple[Coord, ...], bbox: tuple[int, int, int, int],
+                 left_window: tuple[int, int], right_window: tuple[int, int]):
         self.gadget_id = gadget_id
         self.row = row
         self.col0 = col0                  # leftmost tile column
@@ -131,9 +124,6 @@ class VariableBlueprint:
         self.bbox = bbox
         self.left_window = left_window    # inclusive column range
         self.right_window = right_window
-        self.kind = kind
-
-    __eq__ = GadgetBlueprint.__eq__
 
     def translate(self, dr: int, dc: int) -> None:
         self.row += dr
@@ -216,7 +206,7 @@ def make_threshold(origin: Coord, axis: str, forward: str, num_sources: int,
     """
     if axis not in ("H", "V"):
         raise InvalidParam(f"bad axis {axis!r}")
-    if forward not in _DELTAS or _AXIS_OF[forward] != axis:
+    if forward not in DELTAS or _AXIS_OF[forward] != axis:
         raise InvalidParam(f"direction {forward!r} does not run along axis {axis!r}")
     if num_sources < 1:
         raise InvalidParam("a threshold gadget needs at least one source")
@@ -227,7 +217,7 @@ def make_threshold(origin: Coord, axis: str, forward: str, num_sources: int,
     if not 0 <= fillable <= num_sources:
         raise InvalidParam(f"fillable={fillable} outside 0..{num_sources}")
 
-    d = _DELTAS[forward]
+    d = DELTAS[forward]
     tiles = [_add(origin, d, 2 * i) for i in range(num_sources + 1)]
     if shifted:
         tiles.insert(0, _add(origin, d, -1))
@@ -250,7 +240,7 @@ def make_threshold(origin: Coord, axis: str, forward: str, num_sources: int,
     return GadgetBlueprint(
         gadget_id=gadget_id, kind=kind, axis=axis, forward=forward,
         origin=origin, gaps=num_sources, k=k, shifted=shifted,
-        fillable=fillable, tiles=tuple(tiles), sources=sources, target=target,
+        tiles=tuple(tiles), sources=sources, target=target,
         bbox=span, prefilled=prefilled)
 
 

@@ -33,6 +33,13 @@ Every clause's bar and thick wires come from gadgets.make_clause; the
 reducer chooses the wire columns, the bar row and the corridor, checks that
 each wire attaches inside its variable's window, and records the reads.
 
+The plan is built once, in immutable records: _plan_clauses gives each
+clause a _ClausePlan (its variable positions, the bars its propagator
+crosses, its thickness and shift flags), and _layout_window gives each side
+of each variable a _WindowLayout of wire and corridor offsets relative to
+the window.  compile turns the offsets into absolute columns, kept in two
+dicts of its own, before it builds any blueprint.
+
 The certificate maps every formula element to its gadget anchors; the
 intended-solution generator and the verifier both consume it.  Its links
 derive their anchors from the blueprints, so normalizing the layout only
@@ -106,57 +113,45 @@ class CompiledPuzzle(NamedTuple):
 
 # -- internal planning --------------------------------------------------------
 
-class _ClausePlan:
-    __slots__ = ("ci", "polarity", "level", "var_positions", "lpos", "rpos", "x_bar",
-                 "x_prop", "crossed", "g", "bar_shift", "prop_shift", "wire_cols", "corridor")
-
-    def __init__(self, ci: int, polarity: str, level: int, var_positions: list[int],
-                 lpos: int, rpos: int, x_bar: int = 0, x_prop: int = 0,
-                 crossed: list[int] | None = None, g: int = 1, bar_shift: int = 0,
-                 prop_shift: int = 0, wire_cols: dict | None = None,
-                 corridor: int | None = None):
-        self.ci = ci
-        self.polarity = polarity
-        self.level = level
-        self.var_positions = var_positions  # sorted positions of its variables
-        self.lpos = lpos
-        self.rpos = rpos
-        self.x_bar = x_bar
-        self.x_prop = x_prop
-        self.crossed = [] if crossed is None else crossed  # clause indices whose bar we pierce
-        self.g = g
-        self.bar_shift = bar_shift    # 1 when the bar is a shift gadget
-        self.prop_shift = prop_shift
-        self.wire_cols = {} if wire_cols is None else wire_cols  # var position -> list of columns
-        self.corridor = corridor
-
-    __eq__ = GadgetBlueprint.__eq__
+class _ClausePlan(NamedTuple):
+    ci: int
+    polarity: str
+    level: int
+    var_positions: tuple[int, ...]  # sorted positions of its variables
+    lpos: int
+    rpos: int
+    x_bar: int                  # propagators piercing this clause's bar
+    x_prop: int                 # bars its own propagator pierces
+    crossed: tuple[int, ...]    # clause indices of those bars, by level
+    g: int
+    bar_shift: int              # 1 when the bar is a shift gadget
+    prop_shift: int
 
 
 def _plan_clauses(formula: Formula, embedding: Embedding) -> list[_ClausePlan]:
     pos_of = {v: i for i, v in enumerate(embedding.var_order)}
-    plans = []
-    for ci, cl in enumerate(formula.clauses):
-        positions = sorted(pos_of[v] for v in cl.vars)
-        plans.append(_ClausePlan(
-            ci=ci, polarity=cl.polarity, level=embedding.clause_level[ci],
-            var_positions=positions, lpos=positions[0], rpos=positions[-1]))
+    clauses, levels = formula.clauses, embedding.clause_level
+    positions = [tuple(sorted(pos_of[v] for v in cl.vars)) for cl in clauses]
     # crossing structure: the propagator of c pierces the bar of every
     # same-side clause D at a higher level whose bar spans c's corridor,
     # i.e. lpos(D) < rpos(c) <= rpos(D)
-    for c in plans:
-        for d in plans:
-            if d.polarity != c.polarity or d.level <= c.level:
-                continue
-            if d.lpos < c.rpos <= d.rpos:
-                c.x_prop += 1
-                c.crossed.append(d.ci)
-                d.x_bar += 1
-    for c in plans:
-        c.g = c.x_bar + 1          # strictly larger than x, minimal
-        c.bar_shift = c.g & 1      # keeps the target on an even column
-        c.prop_shift = c.x_prop & 1
-        c.crossed.sort(key=lambda ci: plans[ci].level)
+    crossed = [sorted((di for di, d in enumerate(clauses)
+                       if d.polarity == c.polarity and levels[di] > levels[ci]
+                       and positions[di][0] < positions[ci][-1] <= positions[di][-1]),
+                      key=levels.__getitem__)
+               for ci, c in enumerate(clauses)]
+    x_bar = [0] * len(clauses)
+    for ds in crossed:
+        for di in ds:
+            x_bar[di] += 1
+    plans = []
+    for ci, cl in enumerate(clauses):
+        pos, xs = positions[ci], tuple(crossed[ci])
+        g = x_bar[ci] + 1  # strictly larger than x, minimal
+        plans.append(_ClausePlan(ci, cl.polarity, levels[ci], pos, pos[0], pos[-1],
+                                 x_bar[ci], len(xs), xs, g,
+                                 bar_shift=g & 1,  # keeps the target on an even column
+                                 prop_shift=len(xs) & 1))
     return plans
 
 
@@ -166,56 +161,37 @@ class _WindowItem(NamedTuple):
     rear_host: bool      # this window holds the clause's rear tile
 
 
-class _WindowLayout:
-    __slots__ = ("items", "wire_offsets", "corridor_offsets", "last_wire", "rel_min", "rel_max")
-
-    def __init__(self, items: list[_WindowItem] | None = None, wire_offsets: dict | None = None,
-                 corridor_offsets: dict | None = None, last_wire: int = -1,
-                 rel_min: int = 0, rel_max: int = -1):
-        self.items = [] if items is None else items
-        # clause index -> [offsets]
-        self.wire_offsets = {} if wire_offsets is None else wire_offsets
-        self.corridor_offsets = {} if corridor_offsets is None else corridor_offsets
-        self.last_wire = last_wire
-        self.rel_min = rel_min
-        self.rel_max = rel_max
-
-    __eq__ = GadgetBlueprint.__eq__
+class _WindowLayout(NamedTuple):
+    wire_offsets: dict       # clause index -> [offsets]; empty when the window is unused
+    corridor_offsets: dict   # clause index -> offset
+    last_wire: int
+    rel_min: int
+    rel_max: int
 
 
 def _layout_window(items: list[_WindowItem]) -> _WindowLayout:
-    out = _WindowLayout(items=items)
+    wire_offsets, corridor_offsets = {}, {}
+    last_wire, rel_min, rel_max = -1, 0, -1
     for item in items:
         p = item.plan
         # a bar's rear can spill fillable+1 squares behind its rear tile
         # (backward expansions skip filled gaps), plus two for a shift tile
         rear_spill = (len(p.var_positions) * p.g + p.x_bar + 1
                       + 2 * p.bar_shift) if item.rear_host else 0
-        if out.rel_max < 0:
-            # first item: pokes left of the window start are row-disjoint
-            # from everything there; inter-variable spacing absorbs them
-            first = 0
-        elif item.rear_host:
-            first = out.rel_max + MARGIN + 1 + rear_spill
-        else:
-            first = out.rel_max + MARGIN + 1
+        # the first item's pokes left of the window start are row-disjoint
+        # from everything there; inter-variable spacing absorbs them
+        first = 0 if rel_max < 0 else rel_max + MARGIN + 1 + rear_spill
         first += first & 1  # wires sit on even columns
         cols = [first + 4 * j for j in range(p.g)]
-        out.wire_offsets[p.ci] = cols
-        block_end = cols[-1]
-        out.last_wire = block_end
-        if item.rear_host:
-            out.rel_min = min(out.rel_min, first - 1 - rear_spill)
-        else:
-            out.rel_min = min(out.rel_min, first - 1)
-        out.rel_max = max(out.rel_max, block_end + 1)
+        wire_offsets[p.ci] = cols
+        last_wire = cols[-1]
+        rel_min = min(rel_min, first - 1 - rear_spill)
+        rel_max = max(rel_max, last_wire + 1)
         if item.role == 1:
-            corridor = block_end + p.g + p.bar_shift + 2
-            out.corridor_offsets[p.ci] = corridor
-            lit = len(p.var_positions)
-            bar_right = block_end + lit * p.g + p.x_bar + p.bar_shift + 3
-            out.rel_max = max(out.rel_max, bar_right)
-    return out
+            corridor_offsets[p.ci] = last_wire + p.g + p.bar_shift + 2
+            bar_right = last_wire + len(p.var_positions) * p.g + p.x_bar + p.bar_shift + 3
+            rel_max = max(rel_max, bar_right)
+    return _WindowLayout(wire_offsets, corridor_offsets, last_wire, rel_min, rel_max)
 
 
 def _window_items(plans, side: str, position: int) -> list[_WindowItem]:
@@ -238,8 +214,8 @@ def _window_items(plans, side: str, position: int) -> list[_WindowItem]:
 
 def _fit_length(rw: _WindowLayout, lw: _WindowLayout) -> int:
     """Smallest usable even L for a variable given its two window layouts."""
-    rw_used = bool(rw.items)
-    lw_used = bool(lw.items)
+    rw_used = bool(rw.wire_offsets)
+    lw_used = bool(lw.wire_offsets)
 
     def fits(length: int) -> bool:
         if rw_used and rw.last_wire > length // 2 - 1:
@@ -252,11 +228,8 @@ def _fit_length(rw: _WindowLayout, lw: _WindowLayout) -> int:
             # left-side spill must stay clear of the right window's pokes
             if 5 * length // 2 + rw.rel_min - lw.rel_max < MARGIN:
                 return False
-        elif lw_used:
-            if length > 2 and length % 4:
-                return False
-        elif rw_used and length > 2 and length % 4:
-            return False
+        elif length > 2 and length % 4:
+            return False  # one window: L is 2 or divisible by 4
         return True
 
     if not rw_used and not lw_used:
@@ -301,11 +274,10 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
     for side, members in sides.items():
         need = max(4, MARGIN + 3)
         for p in members:
-            lmax = max(q.level for q in members)
-            need = max(need, 2 * pitch * lmax + MARGIN + 1)
-            need = max(need, 2 * pitch * p.level + 3 * p.x_prop + p.prop_shift + 2)
-            if p.crossed:
-                ltop = max(plans[ci].level for ci in p.crossed)
+            need = max(need, 2 * pitch * p.level + MARGIN + 1,
+                       2 * pitch * p.level + 3 * p.x_prop + p.prop_shift + 2)
+            if p.crossed:  # sorted by level, so the last is the top one
+                ltop = plans[p.crossed[-1]].level
                 need = max(need, 2 * pitch * ltop + p.x_prop + p.prop_shift + 2)
         and_offset[side] = need + (need & 1)
     and_row = {POSITIVE: -and_offset[POSITIVE], NEGATIVE: and_offset[NEGATIVE]}
@@ -326,35 +298,35 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
         length = lengths[vp]
         rw, lw = window[(vp, POSITIVE)], window[(vp, NEGATIVE)]
         left_reach = 3 * length // 2
-        if lw.items:
+        if lw.wire_offsets:
             left_reach = max(left_reach, length - lw.rel_min)
-        if rw.items:
+        if rw.wire_offsets:
             left_reach = max(left_reach, -(3 * length // 2) - rw.rel_min)
         vx = 0 if prev_right is None else prev_right + MARGIN + left_reach
-        if length % 4 == 0:
-            vx += vx & 1
-        elif rw.items:  # L == 2, right window only: start vx + 3 must be even
+        if length % 4 and rw.wire_offsets:  # L == 2, right window only: start vx + 3 must be even
             vx += (vx & 1) ^ 1
         else:
             vx += vx & 1
         var_x.append(vx)
         right = vx + length - 1 + 3 * length // 2
-        if rw.items:
+        if rw.wire_offsets:
             right = max(right, vx + 3 * length // 2 + rw.rel_max)
-        if lw.items:
+        if lw.wire_offsets:
             right = max(right, vx - length + lw.rel_max)
         prev_right = right
 
     # absolute wire and corridor columns
+    wire_cols: dict[tuple[int, int], list[int]] = {}  # (clause, var position) -> columns
+    corridor: dict[int, int] = {}                      # clause -> column
     for vp in range(n):
         length = lengths[vp]
         for side, start in ((POSITIVE, var_x[vp] + 3 * length // 2),
                             (NEGATIVE, var_x[vp] - length)):
             w = window[(vp, side)]
             for ci, offsets in w.wire_offsets.items():
-                plans[ci].wire_cols[vp] = [start + o for o in offsets]
+                wire_cols[ci, vp] = [start + o for o in offsets]
             for ci, off in w.corridor_offsets.items():
-                plans[ci].corridor = start + off
+                corridor[ci] = start + off
 
     # blueprints
     variables = []
@@ -366,19 +338,18 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
     chains: list[ChainedPair] = []
     crossovers: list[CrossoverSpec] = []
     reads: list[ReadLink] = []
-    records: list[ClauseRecord] = []
-    bars: dict[int, GadgetBlueprint] = {}
+    records: list[ClauseRecord] = []  # in clause order, so records[ci] is clause ci
 
-    for p in sorted(plans, key=lambda q: q.ci):
+    for p in plans:
         row = bar_row(p)
         up = p.polarity == POSITIVE
         cid = f"clause{p.ci + 1}"
-        if p.corridor is None:
+        if p.ci not in corridor:
             raise LayoutOverflow(f"clause {p.ci} never received a corridor")
-        attach = {embedding.var_order[vp]: [(0, col) for col in p.wire_cols[vp]]
+        corridor_col = corridor[p.ci]
+        attach = {embedding.var_order[vp]: [(0, col) for col in wire_cols[p.ci, vp]]
                   for vp in p.var_positions}
-        bar, wires, links = make_clause(attach, p.g, row, p.corridor, gadget_id=cid)
-        bars[p.ci] = bar
+        bar, wires, links = make_clause(attach, p.g, row, corridor_col, gadget_id=cid)
         chains.extend(links)
         for vp, tw in zip(p.var_positions, wires):
             vb = variables[vp].blueprint
@@ -397,7 +368,7 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
         gaps = (span - 1 - p.x_prop - p.prop_shift) // 2
         if (span - 1 - p.x_prop - p.prop_shift) % 2 or gaps < 1 + p.x_prop:
             raise ParityUnfixable(f"propagator span for clause {p.ci} is inconsistent")
-        rear = (row + 1, p.corridor) if up else (row - 1, p.corridor)
+        rear = (row + 1 if up else row - 1, corridor_col)
         prop = make_threshold(rear, "V", "U" if up else "D", gaps, 1,
                               shifted=bool(p.prop_shift), fillable=1,
                               kind="propagator", gadget_id=f"{cid}.prop")
@@ -405,19 +376,19 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
         records.append(ClauseRecord(
             index=p.ci, polarity=p.polarity, level=p.level, g=p.g,
             bar_crossings=p.x_bar, bar=bar,
-            wires=wires, propagator=prop, corridor_col=p.corridor))
+            wires=wires, propagator=prop, corridor_col=corridor_col))
 
     # crossovers, now that every bar exists
     for p in plans:
         rec = records[p.ci]
         for di in p.crossed:
-            point = (bar_row(plans[di]), p.corridor)
-            crossovers.append(make_crossover(bars[di], rec.propagator, point))
-        r_and = and_row[p.polarity]
-        if rec.propagator.target != (r_and, p.corridor):
+            point = (bar_row(plans[di]), rec.corridor_col)
+            crossovers.append(make_crossover(records[di].bar, rec.propagator, point))
+        wanted = (and_row[p.polarity], rec.corridor_col)
+        if rec.propagator.target != wanted:
             raise ParityUnfixable(
                 f"propagator for clause {p.ci} ends at {rec.propagator.target}, "
-                f"wanted {(r_and, p.corridor)}")
+                f"wanted {wanted}")
 
     # final column: right of every placed bounding box
     global_right = 0

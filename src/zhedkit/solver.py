@@ -41,11 +41,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import search
-from .board import Board, Move, apply_move, is_solved
-from .errors import NotATile, OutOfBounds, ParseError, ReplayError, ZhedError
-
-_DIR_BY_INDEX = "URDL"
-_INDEX_BY_DIR = {d: i for i, d in enumerate(_DIR_BY_INDEX)}
+from .board import DELTAS, DIRECTIONS, Board, Move, apply_move, is_solved
+from .errors import NotATile, OutOfBounds, ParseError, ReplayError
 
 
 class _Limits(NamedTuple):
@@ -98,7 +95,7 @@ SolveResult = Solvable | Unsolvable | ResourceExhausted
 
 def decode_move(board: Board, encoded: int) -> Move:
     idx, d = encoded >> 2, encoded & 3
-    return Move(idx // board.width, idx % board.width, _DIR_BY_INDEX[d])
+    return Move(idx // board.width, idx % board.width, DIRECTIONS[d])
 
 
 def solve(board: Board, limits: SolveLimits | None = None) -> SolveResult:
@@ -151,7 +148,7 @@ def parse_trace(text: str) -> list[Move]:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 3 or parts[2] not in _INDEX_BY_DIR:
+        if len(parts) != 3 or parts[2] not in DELTAS:
             raise ParseError("expected '<row> <col> <U|D|L|R>'", lineno)
         try:
             moves.append(Move(int(parts[0]), int(parts[1]), parts[2]))

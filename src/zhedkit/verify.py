@@ -25,8 +25,7 @@ from typing import NamedTuple
 from . import reducer, rpm3sat
 from .board import BLANK, Board, Move, apply_move, is_solved, render_board
 from .errors import CertificationFailure, NotEmbeddable
-from .gadgets import (GadgetBlueprint, instantiate, isolated_board, make_crossover,
-                      make_threshold, make_variable)
+from .gadgets import instantiate, isolated_board, make_crossover, make_threshold, make_variable
 from .rpm3sat import Formula, render_instance, sat_oracle
 from .solver import (Solvable, SolveLimits, Unsolvable, render_trace, replay,
                      solve)
@@ -39,11 +38,9 @@ CERT_L_MAX = 10  # 2^L move orders bound exhaustive variable certification
 class GadgetReport:
     __slots__ = ("verdicts", "failures")
 
-    def __init__(self, verdicts: dict | None = None, failures: list | None = None):
-        self.verdicts = {} if verdicts is None else verdicts
-        self.failures = [] if failures is None else failures
-
-    __eq__ = GadgetBlueprint.__eq__
+    def __init__(self):
+        self.verdicts = {}
+        self.failures = []
 
     @property
     def passed(self) -> bool:
@@ -113,10 +110,12 @@ def certify_threshold(b_max: int = 5, shifted: bool = False,
         raise CertificationFailure(f"b_max {b_max} exceeds exhaustive guard {CERT_B_MAX}")
     limits = limits or SolveLimits()
     report = GadgetReport()
+    prefix = "shifted-" if shifted else ""  # a plain and a shifted walk may share a directory
     for b in range(1, b_max + 1):
         bp = make_threshold((0, 0), "H", "R", b, b, shifted=shifted)
         for subset in itertools.product((0, 1), repeat=b):
             j = sum(subset)
+            bits = "".join(map(str, subset))  # names this subset's artifacts
             board = isolated_board(bp, [i for i in range(b) if subset[i]])
             width, height = board.width, board.height
             tr, tc = board.target
@@ -133,7 +132,7 @@ def certify_threshold(b_max: int = 5, shifted: bool = False,
                 if got != (j >= k):
                     report.failures.append(f"b={b} k={k} j={j} subset={subset}: "
                                            f"fillable={got}, law says {j >= k}")
-                    _save_artifact(artifacts_dir, f"threshold-b{b}-k{k}-j{j}",
+                    _save_artifact(artifacts_dir, f"{prefix}threshold-b{b}-k{k}-s{bits}",
                                    Board(width, height, target, board.cells),
                                    limits if got else None)
             for idx, filled in enumerate(union):
@@ -141,7 +140,7 @@ def certify_threshold(b_max: int = 5, shifted: bool = False,
                 if filled and (r in (0, height - 1) or c in (0, width - 1)):
                     report.failures.append(
                         f"b={b} subset={subset}: fill at {(r, c)} escapes the bbox")
-                    _save_artifact(artifacts_dir, f"containment-b{b}-j{j}",
+                    _save_artifact(artifacts_dir, f"{prefix}containment-b{b}-s{bits}-at{r}-{c}",
                                    Board(width, height, (r, c), board.cells), limits)
     return report
 

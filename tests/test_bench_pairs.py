@@ -1,7 +1,10 @@
-"""tools/bench_pairs.py: the order of each pair and the per-metric summary, on fixed numbers."""
+"""tools/bench_pairs.py: the order of each pair and the per-metric summary, on fixed
+numbers, and which record a run returns."""
 
 import importlib.util
+import json
 import os
+import sys
 
 import pytest
 
@@ -60,3 +63,26 @@ def test_summary_flags_a_median_worse_than_its_bound():
     verdicts = {row[0]: row[-1] for row in rows}
     assert verdicts == {"items_per_s": "regression", "peak_rss_mb": "regression"}
     assert regressed
+
+
+def test_a_run_that_writes_no_record_fails_instead_of_reading_an_old_one(tmp_path):
+    results = tmp_path / "perfbench" / "results"
+    results.mkdir(parents=True)
+    stale = results / "reduce-replay.seed3.trace0.json"
+    stale.write_text(json.dumps(record("old", 3, 10, 21.0)), encoding="utf-8")
+    # exit code 1, as a run with a failed item has, but dying before it writes
+    command = [sys.executable, "-c", "import sys; sys.exit('set-up raised')"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.run_once(str(tmp_path), command, "reduce-replay", 3, 1)
+    message = str(exc.value)
+    assert "exited 1 and wrote no record" in message and "set-up raised" in message
+    assert not stale.exists()
+
+
+def test_a_run_returns_the_record_it_wrote(tmp_path):
+    (tmp_path / "perfbench" / "results").mkdir(parents=True)
+    fresh = json.dumps(record("new", 4, 12, 21.5))
+    write = ("import sys; open('perfbench/results/reduce-replay.seed4.trace0.json', 'w')"
+             f".write({fresh!r}); sys.exit(1)")
+    rec = bench_pairs.run_once(str(tmp_path), [sys.executable, "-c", write], "reduce-replay", 4, 1)
+    assert rec["provenance"]["commit"] == "new"

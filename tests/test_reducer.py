@@ -1,23 +1,31 @@
-"""The reducer over every auto-embeddable formula with n <= 2, m <= 3.
+"""The reducer over every auto-embeddable formula with n <= 2, m <= 3, and
+over seeded larger ones.
 
 verify.enumerate_formulas(2, 3) yields 92 formulas that auto_embed accepts.
-Their certificates are pinned by one md5, so any change to the layout, the
-gadget arithmetic or the certificate text shows here and must update the
-digest on purpose.
+Their certificates are pinned by one md5, and the certificates and boards of
+40 seeded random formulas with n <= 8, m <= 6 by another, which covers more
+crossings per clause, wider windows and longer strips.  So any change to the
+layout, the gadget arithmetic or the certificate text shows here and must
+update the digests on purpose.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from zhedkit import reducer, rpm3sat, verify
-from zhedkit.board import is_solved
+from zhedkit.board import is_solved, render_board
 from zhedkit.errors import NotEmbeddable
 from zhedkit.solver import replay
 
 # md5 of the concatenated render_certificate texts, in enumerate_formulas order
 GOLDEN_MD5 = "c02767dc2079ebe3186445bf15d13d2c"
 FORMULA_COUNT = 92
+# md5 of render_certificate plus render_board, formula by formula, over the
+# first LARGE_COUNT of random_satisfiable_formula(random.Random(LARGE_SEED), 8, 6)
+LARGE_MD5 = "bf68e80024916503c61d3d89903adcf3"
+LARGE_SEED, LARGE_COUNT = 23, 40
 # intended replay costs about 0.2 s per board, so only every REPLAY_STRIDE-th
 # satisfiable formula is replayed
 REPLAY_STRIDE = 8
@@ -43,6 +51,16 @@ def test_certificates_match_golden_digest(puzzles):
     assert len(puzzles) == FORMULA_COUNT
     text = "".join(reducer.render_certificate(p) for p in puzzles)
     assert hashlib.md5(text.encode("utf-8")).hexdigest() == GOLDEN_MD5
+
+
+def test_larger_formulas_match_golden_digest():
+    rng = random.Random(LARGE_SEED)
+    digest = hashlib.md5()
+    for _ in range(LARGE_COUNT):
+        puzzle = reducer.compile(verify.random_satisfiable_formula(rng, 8, 6))
+        text = reducer.render_certificate(puzzle) + render_board(puzzle.board)
+        digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == LARGE_MD5
 
 
 def test_audits_are_empty(puzzles):

@@ -178,9 +178,10 @@ class TestTraceFormat:
         text = "# witness\n\n0 0 R\n# done\n1 2 D\n"
         assert parse_trace(text) == [Move(0, 0, "R"), Move(1, 2, "D")]
 
-    def test_bad_direction_rejected(self):
+    @pytest.mark.parametrize("direction", ["X", "UR", "u"])
+    def test_bad_direction_rejected(self, direction):
         with pytest.raises(ParseError):
-            parse_trace("0 0 X\n")
+            parse_trace(f"0 0 {direction}\n")
 
     def test_bad_arity_rejected(self):
         with pytest.raises(ParseError):

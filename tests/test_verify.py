@@ -7,8 +7,8 @@ import itertools
 import pytest
 
 from zhedkit import gadgets, verify
-from zhedkit.board import Move
-from zhedkit.solver import SolveLimits, replay
+from zhedkit.board import Move, is_solved, parse_board
+from zhedkit.solver import SolveLimits, parse_trace, replay
 
 # 200 states decide none of these boards, so the first one exhausts the budget
 TINY = SolveLimits(max_states=200)
@@ -56,6 +56,28 @@ def test_threshold_fill_past_a_short_rear_edge_is_an_escape(monkeypatch):
     report = verify.certify_threshold(2)
     assert not report.passed
     assert "b=2 subset=(1, 1): fill at (2, 0) escapes the bbox" in report.failures
+
+
+def test_each_threshold_failure_leaves_its_own_artifacts(monkeypatch, tmp_path):
+    # a box two squares short at the rear: in each walk nine subsets escape
+    # at the same ring square, several with the same count of pre-filled
+    # sources, and the plain and the shifted walk share one directory
+    def rear_short(*args, **kwargs):
+        bp = gadgets.make_threshold(*args, **kwargs)
+        r0, c0, r1, c1 = bp.bbox
+        bp.bbox = (r0, c0 + 2, r1, c1)
+        return bp
+
+    monkeypatch.setattr(verify, "make_threshold", rear_short)
+    failures = [f for shifted in (False, True)
+                for f in verify.certify_threshold(3, shifted, artifacts_dir=tmp_path).failures]
+    boards = sorted(tmp_path.glob("*.board"))
+    assert len(failures) == 18
+    assert len(boards) == len(failures)
+    for path in boards:
+        board = parse_board(path.read_text(encoding="utf-8"))
+        moves = parse_trace(path.with_suffix(".trace").read_text(encoding="utf-8"))
+        assert is_solved(replay(board, moves)), path.name
 
 
 def test_variable_verdicts_at_length_4():

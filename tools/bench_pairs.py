@@ -12,7 +12,9 @@ wins (ties count for neither) and the verdict of perfbench/report.py's
 compare: "regression" when the change's median is worse than the parent's by
 more than the metric's bound.  Each run leaves its record in
 perfbench/results/ of its checkout, as run.py always does; this script writes
-no file.  It exits 1 when a run fails an item or a metric regresses.
+no file.  It deletes a run's old record before the run, so that a run that
+dies before writing one fails instead of reporting a stale record.  It exits 1
+when a run fails an item or a metric regresses.
 """
 
 from __future__ import annotations
@@ -39,11 +41,15 @@ def order(pair: int) -> tuple[str, str]:
 def run_once(root: str, command: list, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in the checkout at root; returns the record run.py wrote."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}"]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):  # 1: some item failed; the record is still written
-        raise SystemExit(f"bench_pairs: {' '.join(argv)} in {root} exited {proc.returncode}\n"
-                         + proc.stderr)
     path = os.path.join(root, "perfbench", "results", f"{workload}.seed{seed}.trace0.json")
+    if os.path.exists(path):
+        os.remove(path)  # a run that dies in set-up writes none, and must not read an old one
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    written = os.path.exists(path)
+    # 1 also means some item failed, and then the record is still written
+    if proc.returncode not in (0, 1) or not written:
+        raise SystemExit(f"bench_pairs: {' '.join(argv)} in {root} exited {proc.returncode}"
+                         f"{'' if written else ' and wrote no record'}\n" + proc.stderr)
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
