@@ -1,10 +1,8 @@
 """ZHED puzzle engine, exhaustive solver, and RPM-3SAT board compiler.
 
-The search core is pure Python (search_slow, reached through
-zhedkit.search): one depth-first traversal on a single board that it plays
-moves on and undoes, with exact memo keys (a bitmask of the squares changed
-from the start board), so an Unsolvable verdict rests on no hash.  There is
-no compiled extension.
+The search core is pure Python, with no compiled extension; the
+zhedkit.search docstring describes it.  Its memo keys are exact, so an
+Unsolvable verdict rests on no hash.
 """
 
 from .board import (BLANK, EMPTY, Board, Move, apply_move, is_solved, legal_moves,

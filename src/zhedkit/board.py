@@ -7,8 +7,8 @@ that direction.  Already-filled squares are skipped, not consumed, and a ray
 that runs off the board edge is truncated (the move stays legal).
 
 Boards are immutable; apply_move returns a fresh board.  They serve parsing,
-replay and the tests; the search core plays and undoes moves on its own
-bytearray of the cells instead.
+replay and the tests; the search core plays and undoes moves on an int of
+the board's EMPTY squares instead.
 """
 
 from __future__ import annotations

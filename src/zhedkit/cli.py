@@ -35,6 +35,10 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -225,7 +229,7 @@ def cmd_verify(args) -> int:
         verify.certify_variable(args.variable_length, artifacts))
     run("crossover order tolerance", verify.certify_crossover(artifacts))
 
-    ok, results = verify.intended_replay_suite(args.samples, args.seed)
+    ok = verify.intended_replay_suite(args.samples, args.seed)
     rows.append(("intended replay (%d samples)" % args.samples,
                  "pass" if ok == args.samples else "FAIL",
                  f"{ok}/{args.samples} solved"))

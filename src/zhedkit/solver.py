@@ -8,23 +8,11 @@ empty squares into blanks.  So an Unsolvable verdict has no collision
 caveat: every state the memo skips was fully expanded before.
 The classification (Solvable / Unsolvable) is independent of exploration
 order; the witness follows the fixed move-ordering heuristic (ray toward
-the target first, ties by row-major coordinate then U,R,D,L).  The search
-core ranks the start board's moves once per search and at each node takes
-those whose tile is unspent and whose ray meets an empty square.  That is
-exact because a move only blanks its own tile and fills empty squares: no
-square ever gains or changes a number, so every reachable state's tiles are
-a subset of the start board's.  The core keeps the board's empty squares
-as one int, so a ray's nearest empty square is the highest bit of the
-ray's mask for L and U and its lowest for R and D; popping
-a child restores the node's state bit for bit, so a node resumed after a
-child's subtree sees the same moves it started with.  A
-move found to fill nothing is known to fill nothing in the whole subtree
-below, since moves only ever fill empty squares.  Sleep sets skip a
-move whose child is provably memoized already: moves of different tiles
-whose fills are disjoint commute, so after trying u and then t at a node,
-the t-child need not try u again when u's ray crosses none of t's fills.
-They skip only children the memo would reject, so verdicts, witnesses and
-state counts are those of the search without them.
+the target first, ties by row-major coordinate then U,R,D,L).  The
+zhedkit.search docstring describes the traversal and argues each of its
+shortcuts exact; its sleep sets skip only children the memo would reject,
+so verdicts, witnesses and state counts are those of the search without
+them.
 
 The search never plays a move that fills nothing (an idle move), and loses
 no verdict or witness by it.  An idle move's child s.t has the same empty

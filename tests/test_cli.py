@@ -1,6 +1,8 @@
 """The CLI contract: exit code 0, 1 or 2, one reason line on stderr, no traceback."""
 
+import os
 import re
+import stat
 
 import pytest
 
@@ -198,3 +200,18 @@ def test_malformed_assignment_is_a_parse_error(tmp_path, capsys, compiled,
     assert line.startswith("error: ParseError: ") and repr(token) in line
     assert f"(line {lineno})" in line
     assert not trace.exists()
+
+
+def test_outputs_get_the_mode_of_a_plain_open(tmp_path):
+    # an atomic write must not leave mkstemp's 0600 on the file it replaces
+    out = tmp_path / "wire.txt"
+    saved = os.umask(0o022)
+    try:
+        assert main(["gadget", "wire", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert stat.S_IMODE(tmp_path.joinpath("wire.txt.json").stat().st_mode) == 0o644
+        os.umask(0o027)
+        assert main(["gadget", "wire", str(out)]) == 0  # overwrites
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    finally:
+        os.umask(saved)

@@ -13,7 +13,7 @@ from collections import deque
 
 import pytest
 
-from zhedkit import gadgets, reducer, rpm3sat, search, search_slow, solver
+from zhedkit import gadgets, reducer, rpm3sat, search, solver
 from zhedkit.board import BLANK, EMPTY, board_from_cells
 
 DELTAS = ((-1, 0), (0, 1), (1, 0), (0, -1))  # U, R, D, L
@@ -210,9 +210,9 @@ def test_a_walk_stopped_before_its_first_child_fills_nothing(monkeypatch, shifte
     # the clock is read before every child and passes the deadline at the
     # first: no state was entered, so nothing is filled, not even the squares
     # of the child the walk was about to try
-    monkeypatch.setattr(search_slow, "_CHECK_EVERY", 1)
+    monkeypatch.setattr(search, "_CHECK_EVERY", 1)
     for _, cells, w, h, t in threshold_boards(shifted, b_max):
-        monkeypatch.setattr(search_slow, "_clock", JumpingClock())
+        monkeypatch.setattr(search, "_clock", JumpingClock())
         fillable, union, states, complete = search.explore(cells, w, h, t, 0, 1)
         assert (fillable, bytes(union), states, complete) == (
             False, bytes(1 if v else 0 for v in cells), 0, False)
@@ -334,7 +334,7 @@ def test_deadline_counts_memo_hits(monkeypatch):
     target = board.target[0] * board.width + board.target[1]
     assert search.explore(board.cells, 6, 2, target, 0, 0)[2:] == (454, True)
     clock = JumpingClock()
-    monkeypatch.setattr(search_slow, "_clock", clock)
+    monkeypatch.setattr(search, "_clock", clock)
     # fewer than 1024 children lead to new states, so only counting memo
     # hits reaches a check of the clock; the first check, at child 1024, stops
     _, _, states, complete = search.explore(board.cells, 6, 2, target, 0, 1)
@@ -353,7 +353,7 @@ def test_deadline_is_checked_every_1024_children(monkeypatch, still):
     # stop at the next check, 1024 children later
     board = tile_strip(8, 8)
     clock = JumpingClock(still)
-    monkeypatch.setattr(search_slow, "_clock", clock)
+    monkeypatch.setattr(search, "_clock", clock)
     result = solver.solve(board, solver.SolveLimits(max_millis=1))
     assert isinstance(result, solver.ResourceExhausted) and clock.reads == still + 1
 
@@ -361,7 +361,7 @@ def test_deadline_is_checked_every_1024_children(monkeypatch, still):
 def test_unlimited_search_never_reads_the_clock(monkeypatch):
     def fail():
         raise AssertionError("clock read without a deadline")
-    monkeypatch.setattr(search_slow, "_clock", fail)
+    monkeypatch.setattr(search, "_clock", fail)
     board = tile_strip(5)
     assert isinstance(solver.solve(board), solver.Unsolvable)
 
@@ -478,3 +478,21 @@ def test_threshold_sweep_visits_591849_states_and_keeps_the_law():
                         if r in (0, h - 1) or c in (0, w - 1)]
                 assert not any(union[i] for i in ring)
     assert total == 591849
+
+
+def test_the_names_the_benchmark_reads(monkeypatch):
+    # perfbench records search.KERNEL, patches search.solve and
+    # search.kernel.<helper> by name, and calls explore with six positionals
+    assert search.KERNEL == "python"
+    assert search.kernel.ordered_moves is search.ordered_moves
+    assert search.kernel.apply_encoded is search.apply_encoded
+    board = tile_strip(3)
+    width, height = board.width, board.height
+    target = board.target[0] * width + board.target[1]
+    fillable, union, states, complete = search.explore(
+        board.cells, width, height, target, 0, 0)
+    assert (fillable, len(union), complete) == (False, len(board.cells), True)
+    assert states == bfs_states(board.cells, width, height)
+    calls, original = [], search.solve
+    monkeypatch.setattr(search, "solve", lambda *args: calls.append(args) or original(*args))
+    assert isinstance(solver.solve(board), solver.Unsolvable) and len(calls) == 1

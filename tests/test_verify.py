@@ -97,25 +97,44 @@ def test_variable_verdicts_hold_the_measured_reach(monkeypatch):
                                for dirs in itertools.product("LR", repeat=4)}
 
 
+def variable_strip(length):
+    """The variable blueprint certify_variable builds and its isolated board."""
+    bp = verify.make_variable((2, 2 + 3 * (length // 2)), length)
+    return bp, verify.instantiate([bp], (0, 0), width=bp.bbox[3] + 2, height=5)
+
+
 def flat_certify_variable(length):
-    """certify_variable replaying every assignment in full, in both play orders."""
+    """certify_variable replaying every assignment in full, left to right."""
     report = verify.GadgetReport()
     half = length // 2
-    bp = verify.make_variable((2, 2 + 3 * half), length)
-    board = verify.instantiate([bp], (0, 0), width=bp.bbox[3] + 2, height=5)
+    bp, board = variable_strip(length)
     for dirs in itertools.product("LR", repeat=length):
         x, y = dirs.count("L"), dirs.count("R")
-        for order in (range(length), reversed(range(length))):
-            end = replay(board, [Move(bp.row, bp.col0 + i, dirs[i]) for i in order])
-            left = verify._reach(end, bp.tiles[0], (0, -1))
-            right = verify._reach(end, bp.tiles[-1], (0, 1))
-            if left != x or right != y:
-                report.failures.append(
-                    f"dirs={''.join(dirs)}: reach ({left},{right}), expected ({x},{y})")
-            if left >= half + 1 and right >= half + 1:
-                report.failures.append(f"dirs={''.join(dirs)}: readers reachable on both sides")
-            report.verdicts.setdefault(dirs, (left, right))
+        end = replay(board, [Move(bp.row, bp.col0 + i, d) for i, d in enumerate(dirs)])
+        left = verify._reach(end, bp.tiles[0], (0, -1))
+        right = verify._reach(end, bp.tiles[-1], (0, 1))
+        if left != x or right != y:
+            report.failures.append(
+                f"dirs={''.join(dirs)}: reach ({left},{right}), expected ({x},{y})")
+        if left >= half + 1 and right >= half + 1:
+            report.failures.append(f"dirs={''.join(dirs)}: readers reachable on both sides")
+        report.verdicts[dirs] = (left, right)
     return report
+
+
+@pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
+def test_variable_play_order_does_not_change_the_end_board(length):
+    # why certify_variable plays one order: the strip's tiles are contiguous,
+    # so each move fills the nearest EMPTY squares beyond the strip's end, and
+    # an assignment ends on one board, set by how many of its tiles go left
+    bp, board = variable_strip(length)
+    ends = {}
+    for dirs in itertools.product("LR", repeat=length):
+        moves = [Move(bp.row, bp.col0 + i, d) for i, d in enumerate(dirs)]
+        end = replay(board, moves).cells
+        assert replay(board, moves[::-1]).cells == end, dirs
+        assert ends.setdefault(dirs.count("L"), end) == end, dirs
+    assert len(ends) == length + 1
 
 
 @pytest.mark.parametrize("length", [2, 4, 6, 8, 10])
@@ -126,7 +145,7 @@ def test_variable_prefix_replay_matches_a_flat_replay(length):
 
 def test_variable_prefix_replay_matches_a_flat_replay_on_a_failing_strip(monkeypatch):
     # a 2 as the second tile reaches one square farther on the side it is
-    # played to, so every assignment fails, in both play orders
+    # played to, so every assignment fails
     def strip_with_a_2(blueprints, *args, **kwargs):
         board = gadgets.instantiate(blueprints, *args, **kwargs)
         r, c = blueprints[0].tiles[1]
@@ -136,7 +155,7 @@ def test_variable_prefix_replay_matches_a_flat_replay_on_a_failing_strip(monkeyp
 
     monkeypatch.setattr(verify, "instantiate", strip_with_a_2)
     report, flat = verify.certify_variable(6), flat_certify_variable(6)
-    assert len(report.failures) == 2 ** 6 * 2
+    assert len(report.failures) == 2 ** 6
     assert (report.verdicts, report.failures) == (flat.verdicts, flat.failures)
 
 
