@@ -208,7 +208,7 @@ def _parse_grid_line(text: str, width: int, lineno: int) -> bytes:
 
 def parse_board(text: str) -> Board:
     lines = text.split("\n")
-    if lines and lines[-1] == "":
+    while lines and lines[-1] == "":  # trailing blank lines are no grid rows
         lines.pop()
     if not lines:
         raise ParseError("empty board file", 1)

@@ -395,8 +395,6 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
                                   gadget_id=f"{gadget_id}.v{label}.w{wi}")
             if wire.target != (level_row, ac):
                 raise ParityMismatch("wire target does not meet the bar row")
-            if wire.target not in bar.sources:
-                raise AnchorMismatch("wire lands outside the bar's gap columns")
             chains.append(chain(wire, bar))
             group.append(wire)
         wires.append(ThickWire(g, tuple(group)))

@@ -37,8 +37,10 @@ The plan is built once, in immutable records: _plan_clauses gives each
 clause a _ClausePlan (its variable positions, the bars its propagator
 crosses, its thickness and shift flags), and _layout_window gives each side
 of each variable a _WindowLayout of wire and corridor offsets relative to
-the window.  compile turns the offsets into absolute columns, kept in two
-dicts of its own, before it builds any blueprint.
+the window.  compile lays out, places and builds each variable in one pass,
+left to right: both window layouts, the strip length L, the strip's column,
+the absolute wire and corridor columns (kept in two dicts of its own) and
+the variable's blueprint.  Only then does it build the clauses.
 
 The certificate maps every formula element to its gadget anchors; the
 intended-solution generator and the verifier both consume it.  Its links
@@ -155,12 +157,6 @@ def _plan_clauses(formula: Formula, embedding: Embedding) -> list[_ClausePlan]:
     return plans
 
 
-class _WindowItem(NamedTuple):
-    plan: _ClausePlan
-    role: int            # 1 rightmost var here, 2 middle, 3 leftmost
-    rear_host: bool      # this window holds the clause's rear tile
-
-
 class _WindowLayout(NamedTuple):
     wire_offsets: dict       # clause index -> [offsets]; empty when the window is unused
     corridor_offsets: dict   # clause index -> offset
@@ -169,15 +165,27 @@ class _WindowLayout(NamedTuple):
     rel_max: int
 
 
-def _layout_window(items: list[_WindowItem]) -> _WindowLayout:
+def _layout_window(side_plans: list[_ClausePlan], position: int) -> _WindowLayout:
+    """Wire and corridor offsets of one side's window of the variable at position.
+
+    The slot order keeps every wire clear of lower clause bars: first the
+    clauses whose rightmost variable sits here, by level, then those passing
+    through, by level, then those whose leftmost variable sits here, by
+    descending level.
+    """
+    def slot(p: _ClausePlan) -> tuple[int, int, int]:
+        if position == p.rpos:
+            return 0, p.level, p.ci
+        return (2, -p.level, p.ci) if position == p.lpos else (1, p.level, p.ci)
+
     wire_offsets, corridor_offsets = {}, {}
     last_wire, rel_min, rel_max = -1, 0, -1
-    for item in items:
-        p = item.plan
-        # a bar's rear can spill fillable+1 squares behind its rear tile
-        # (backward expansions skip filled gaps), plus two for a shift tile
+    for p in sorted((p for p in side_plans if position in p.var_positions), key=slot):
+        # the leftmost variable's window holds the bar's rear tile, and a
+        # bar's rear can spill fillable+1 squares behind it (backward
+        # expansions skip filled gaps), plus two for a shift tile
         rear_spill = (len(p.var_positions) * p.g + p.x_bar + 1
-                      + 2 * p.bar_shift) if item.rear_host else 0
+                      + 2 * p.bar_shift) if position == p.lpos else 0
         # the first item's pokes left of the window start are row-disjoint
         # from everything there; inter-variable spacing absorbs them
         first = 0 if rel_max < 0 else rel_max + MARGIN + 1 + rear_spill
@@ -187,29 +195,11 @@ def _layout_window(items: list[_WindowItem]) -> _WindowLayout:
         last_wire = cols[-1]
         rel_min = min(rel_min, first - 1 - rear_spill)
         rel_max = max(rel_max, last_wire + 1)
-        if item.role == 1:
+        if position == p.rpos:
             corridor_offsets[p.ci] = last_wire + p.g + p.bar_shift + 2
             bar_right = last_wire + len(p.var_positions) * p.g + p.x_bar + p.bar_shift + 3
             rel_max = max(rel_max, bar_right)
     return _WindowLayout(wire_offsets, corridor_offsets, last_wire, rel_min, rel_max)
-
-
-def _window_items(plans, side: str, position: int) -> list[_WindowItem]:
-    """Slot order that keeps every wire clear of lower clause bars."""
-    role1, role2, role3 = [], [], []
-    for p in plans:
-        if p.polarity != side or position not in p.var_positions:
-            continue
-        if position == p.rpos:
-            role1.append(_WindowItem(p, 1, rear_host=(p.lpos == p.rpos)))
-        elif position == p.lpos:
-            role3.append(_WindowItem(p, 3, rear_host=True))
-        else:
-            role2.append(_WindowItem(p, 2, rear_host=False))
-    role1.sort(key=lambda it: (it.plan.level, it.plan.ci))
-    role2.sort(key=lambda it: (it.plan.level, it.plan.ci))
-    role3.sort(key=lambda it: (-it.plan.level, it.plan.ci))
-    return role1 + role2 + role3
 
 
 def _fit_length(rw: _WindowLayout, lw: _WindowLayout) -> int:
@@ -251,7 +241,6 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
     if violations:
         raise EmbeddingInvalid("; ".join(v.detail for v in violations))
 
-    n = formula.num_vars
     plans = _plan_clauses(formula, embedding)
     sides = {POSITIVE: [p for p in plans if p.polarity == POSITIVE],
              NEGATIVE: [p for p in plans if p.polarity == NEGATIVE]}
@@ -282,21 +271,17 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
         and_offset[side] = need + (need & 1)
     and_row = {POSITIVE: -and_offset[POSITIVE], NEGATIVE: and_offset[NEGATIVE]}
 
-    # window layouts (relative offsets, independent of L and absolute position)
-    window = {}
-    for vp in range(n):
-        for side in (POSITIVE, NEGATIVE):
-            window[(vp, side)] = _layout_window(_window_items(plans, side, vp))
-
-    lengths = [_fit_length(window[(vp, POSITIVE)], window[(vp, NEGATIVE)])
-               for vp in range(n)]
-
-    # place variables left to right
-    var_x: list[int] = []
+    # one pass per variable, left to right: lay out both windows (offsets
+    # independent of L and of the position), fit L, place the strip, record
+    # its absolute wire and corridor columns and build its blueprint
+    variables: list[VariableRecord] = []
+    placed: list = []  # every blueprint built before the extreme ANDs
+    wire_cols: dict[tuple[int, int], list[int]] = {}  # (clause, var position) -> columns
+    corridor: dict[int, int] = {}                      # clause -> column
     prev_right = None
-    for vp in range(n):
-        length = lengths[vp]
-        rw, lw = window[(vp, POSITIVE)], window[(vp, NEGATIVE)]
+    for vp, var in enumerate(embedding.var_order):
+        rw, lw = _layout_window(sides[POSITIVE], vp), _layout_window(sides[NEGATIVE], vp)
+        length = _fit_length(rw, lw)
         left_reach = 3 * length // 2
         if lw.wire_offsets:
             left_reach = max(left_reach, length - lw.rel_min)
@@ -307,33 +292,19 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
             vx += (vx & 1) ^ 1
         else:
             vx += vx & 1
-        var_x.append(vx)
-        right = vx + length - 1 + 3 * length // 2
+        prev_right = vx + length - 1 + 3 * length // 2
         if rw.wire_offsets:
-            right = max(right, vx + 3 * length // 2 + rw.rel_max)
+            prev_right = max(prev_right, vx + 3 * length // 2 + rw.rel_max)
         if lw.wire_offsets:
-            right = max(right, vx - length + lw.rel_max)
-        prev_right = right
-
-    # absolute wire and corridor columns
-    wire_cols: dict[tuple[int, int], list[int]] = {}  # (clause, var position) -> columns
-    corridor: dict[int, int] = {}                      # clause -> column
-    for vp in range(n):
-        length = lengths[vp]
-        for side, start in ((POSITIVE, var_x[vp] + 3 * length // 2),
-                            (NEGATIVE, var_x[vp] - length)):
-            w = window[(vp, side)]
+            prev_right = max(prev_right, vx - length + lw.rel_max)
+        for w, start in ((rw, vx + 3 * length // 2), (lw, vx - length)):
             for ci, offsets in w.wire_offsets.items():
                 wire_cols[ci, vp] = [start + o for o in offsets]
             for ci, off in w.corridor_offsets.items():
                 corridor[ci] = start + off
-
-    # blueprints
-    variables = []
-    for vp in range(n):
-        bp = make_variable((0, var_x[vp]), lengths[vp],
-                           gadget_id=f"var{embedding.var_order[vp]}")
-        variables.append(VariableRecord(embedding.var_order[vp], bp))
+        bp = make_variable((0, vx), length, gadget_id=f"var{var}")
+        variables.append(VariableRecord(var, bp))
+        placed.append(bp)
 
     chains: list[ChainedPair] = []
     crossovers: list[CrossoverSpec] = []
@@ -373,6 +344,7 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
                               shifted=bool(p.prop_shift), fillable=1,
                               kind="propagator", gadget_id=f"{cid}.prop")
         chains.append(chain(bar, prop))
+        placed += [bar, *(w for tw in wires for w in tw.wires), prop]
         records.append(ClauseRecord(
             index=p.ci, polarity=p.polarity, level=p.level, g=p.g,
             bar_crossings=p.x_bar, bar=bar,
@@ -391,15 +363,9 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
                 f"wanted {wanted}")
 
     # final column: right of every placed bounding box
-    global_right = 0
-    for rec in records:
-        global_right = max(global_right, rec.bar.bbox[3], rec.propagator.bbox[3],
-                           *(w.bbox[3] for tw in rec.wires for w in tw.wires))
-    for vr in variables:
-        global_right = max(global_right, vr.blueprint.bbox[3])
-    final_col = global_right + MARGIN + 1
-    for side in (POSITIVE, NEGATIVE):
-        members = [rec for rec in records if rec.polarity == side]
+    final_col = max(bp.bbox[3] for bp in placed) + MARGIN + 1
+    side_records = {side: [records[p.ci] for p in members] for side, members in sides.items()}
+    for members in side_records.values():
         if members:
             natural = max(rec.corridor_col for rec in members) + 1
             final_col = max(final_col, natural + len(members) + 2)
@@ -407,7 +373,7 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
     def make_and(side: str) -> GadgetBlueprint:
         gid = "and.pos" if side == POSITIVE else "and.neg"
         row = and_row[side]
-        members = [rec for rec in records if rec.polarity == side]
+        members = side_records[side]
         if not members:
             # degenerate side: a constant-true emitter, a wire whose single
             # source is pre-filled on the board
@@ -448,16 +414,16 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
                               reads=reads, target=target)
 
     # normalize to a 1-square border and instantiate
-    box = None
-    for bp in certificate.gadget_blueprints():
-        box = bp.bbox if box is None else rect_union(box, bp.bbox)
-    box = rect_union(box, (*target, *target))
+    blueprints = certificate.gadget_blueprints()
+    box = (*target, *target)
+    for bp in blueprints:
+        box = rect_union(box, bp.bbox)
     dr, dc = 1 - box[0], 1 - box[1]
-    for bp in certificate.gadget_blueprints():
+    for bp in blueprints:
         bp.translate(dr, dc)
     certificate = certificate._replace(target=(target[0] + dr, target[1] + dc))
 
-    board = instantiate(certificate.gadget_blueprints(), certificate.target,
+    board = instantiate(blueprints, certificate.target,
                         width=box[3] - box[1] + 3, height=box[2] - box[0] + 3)
     return CompiledPuzzle(board=board, certificate=certificate,
                           formula=formula, embedding=embedding)

@@ -246,23 +246,6 @@ def certify_crossover(artifacts_dir=None) -> GadgetReport:
     return report
 
 
-def compare_shift_verdicts(plain: GadgetReport, shifted: GadgetReport) -> GadgetReport:
-    """Shifted and unshifted gadgets share one verdict table.
-
-    Compares the verdicts of two finished certify_threshold walks, one plain
-    and one shifted, and reports only the (b, k, subset) keys where they
-    diverge.  A key only one walk decided is that walk's failure, already
-    in its own report.
-    """
-    report = GadgetReport()
-    for key in sorted(plain.verdicts.keys() & shifted.verdicts.keys()):
-        p, s = plain.verdicts[key], shifted.verdicts[key]
-        if p != s:
-            report.failures.append(
-                f"verdicts diverge at (b, k, subset)={key}: plain {p}, shifted {s}")
-    return report
-
-
 # -- equivalence ----------------------------------------------------------------
 
 def enumerate_formulas(max_vars: int, max_clauses: int):

@@ -254,6 +254,15 @@ class TestTextFormat:
         with pytest.raises(MissingTarget):
             parse_board("zhed v1 2 1\n..\n")
 
+    def test_trailing_blank_lines_are_ignored(self):
+        b = row_board("1..", target=(0, 2))
+        assert parse_board(render_board(b) + "\n\n") == b
+
+    def test_blank_line_inside_the_grid_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_board("zhed v1 3 2\ntarget 0 2\n1..\n\n...\n")
+        assert err.value.line == 4
+
     def test_short_row_rejected_with_position(self):
         with pytest.raises(ParseError) as err:
             parse_board("zhed v1 3 1\ntarget 0 0\n..\n")

@@ -118,7 +118,7 @@ def test_verify_prints_one_row_per_check(capsys):
     assert err == ""
     rows = [re.split(r"\s{2,}", line)[:2] for line in out.splitlines()]
     assert rows == [["threshold law (b<=1)", "pass"], ["shifted threshold law", "pass"],
-                    ["shift equivalence", "pass"], ["variable split safety (L=4)", "pass"],
+                    ["variable split safety (L=4)", "pass"],
                     ["crossover order tolerance", "pass"],
                     ["intended replay (1 samples)", "pass"],
                     ["equivalence (n<=1, m<=1)", "FAIL"]]

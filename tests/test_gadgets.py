@@ -343,6 +343,12 @@ class TestClause:
         with pytest.raises(ParityMismatch):
             self.clause(12, (4, 16), 2, 5, extra=-1)
 
+    def test_wire_landing_on_a_bar_tile_is_an_anchor_mismatch(self):
+        # the bar's gaps are the even columns 4..10, so the middle wire's
+        # target (-5, 7) is a bar tile, and chaining it to the bar fails
+        with pytest.raises(AnchorMismatch):
+            make_clause({1: [(0, 4)], 2: [(0, 7)], 3: [(0, 10)]}, 1, -5, 14)
+
     def test_single_thick_wire_activates_clause(self):
         bar, wires, _ = self.clause(12, (4, 16), 2, 5)
         for tw in wires[0].wires:

@@ -80,3 +80,16 @@ def test_intended_solution_solves_satisfiable_boards(puzzles):
     unsolved = [_name(p) for p, a in satisfiable[::REPLAY_STRIDE]
                 if not is_solved(replay(p.board, reducer.intended_solution(p, a)))]
     assert unsolved == []
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_clause_free_formula_compiles_to_two_emitters(n):
+    # enumerate_formulas and random_satisfiable_formula draw m >= 1, so only
+    # this formula reaches the constant-emitter branch on both sides
+    puzzle = reducer.compile(rpm3sat.parse_instance(f"p rpm3sat {n}\n")[0])
+    cert = puzzle.certificate
+    assert (cert.upper.kind, cert.lower.kind) == ("emitter", "emitter")
+    assert reducer.audit_bboxes(puzzle) == [] and reducer.check_certificate(puzzle) == []
+    for value in (False, True):
+        moves = reducer.intended_solution(puzzle, (value,) * n)
+        assert is_solved(replay(puzzle.board, moves))

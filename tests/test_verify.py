@@ -1,6 +1,5 @@
-"""The equivalence suite's reports, with and without fail_fast, the
-shift-equivalence comparison of two threshold walks, and the verdicts of the
-gadget certifiers."""
+"""The equivalence suite's reports, with and without fail_fast, and the
+verdicts of the gadget certifiers."""
 
 import itertools
 
@@ -29,17 +28,6 @@ def test_without_fail_fast_the_solver_runs_on_every_formula():
     assert len(reports) == 5
     assert all(r.exhausted and r.states_visited > 0 for r in reports)
     assert [r.oracle_satisfiable for r in reports].count(True) == 4
-
-
-def test_shift_comparison_reports_only_divergent_verdicts():
-    plain = verify.certify_threshold(2, False)
-    shifted = verify.certify_threshold(2, True)
-    assert plain.passed and shifted.passed and len(plain.verdicts) == 10
-    assert verify.compare_shift_verdicts(plain, shifted).failures == []
-    key = (2, 1, (0, 1))
-    shifted.verdicts[key] = not shifted.verdicts[key]
-    [failure] = verify.compare_shift_verdicts(plain, shifted).failures
-    assert f"{key}: plain True, shifted False" in failure
 
 
 def test_threshold_fill_past_a_short_rear_edge_is_an_escape(monkeypatch):
