@@ -207,7 +207,8 @@ def _parse_grid_line(text: str, width: int, lineno: int) -> bytes:
 
 
 def parse_board(text: str) -> Board:
-    lines = text.split("\n")
+    # one trailing CR per line, so CRLF files parse like their LF twins
+    lines = [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
     while lines and lines[-1] == "":  # trailing blank lines are no grid rows
         lines.pop()
     if not lines:

@@ -239,11 +239,14 @@ def cmd_verify(args) -> int:
     exhausted = sum(1 for r in reports if r.exhausted)
     disagreements = [r for r in reports if r.agreement is False]
     replay_bad = [r for r in reports if r.replay_ok is False]
-    status = "pass" if not (exhausted or disagreements or replay_bad) else "FAIL"
-    rows.append((f"equivalence (n<={args.max_vars}, m<={args.max_clauses})", status,
-                 f"{len(reports)} instances, {exhausted} exhausted, "
-                 f"{len(disagreements)} disagreements, {len(replay_bad)} bad replays"))
-    failed = failed or status == "FAIL"
+    bad = [r for r in reports if r.exhausted or r.agreement is False or r.replay_ok is False]
+    status = "FAIL" if bad else "pass"
+    detail = (f"{len(reports)} instances, {exhausted} exhausted, "
+              f"{len(disagreements)} disagreements, {len(replay_bad)} bad replays")
+    if bad:
+        detail += f"; first: {bad[0].formula}"
+    rows.append((f"equivalence (n<={args.max_vars}, m<={args.max_clauses})", status, detail))
+    failed = failed or bool(bad)
 
     width = max(len(r[0]) for r in rows)
     for name, status, detail in rows:

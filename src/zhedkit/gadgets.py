@@ -22,8 +22,9 @@ the true connected count.  The count only sizes the box; the blueprint does
 not keep it.  Chaining or a crossover lengthens the affected boxes by one
 square per the interaction.
 
-make_clause assembles a whole clause (an OR bar fed by thick wires); it is
-the only clause builder, used by the reducer and by the tests alike.  The
+make_clause assembles a whole clause (an OR bar fed by thick wires, each a
+plain tuple of g parallel wire blueprints 4 columns apart); it is the only
+clause builder, used by the reducer and by the tests alike.  The
 link records (ChainedPair, CrossoverSpec, ReadLink) compute their anchor
 squares from the blueprints they join, so translating the blueprints moves
 the links with them.  The blueprints are mutable, slotted records that the
@@ -136,33 +137,6 @@ class VariableBlueprint:
 
     def moves(self, direction: str) -> tuple[Move, ...]:
         return tuple(Move(r, c, direction) for r, c in self.tiles)
-
-
-class _ThickWireFields(NamedTuple):
-    g: int
-    wires: tuple[GadgetBlueprint, ...]
-
-
-class ThickWire(_ThickWireFields):
-    """g parallel wires, 4 apart, joining one variable to one clause bar."""
-    __slots__ = ()
-
-    def __new__(cls, g: int, wires: tuple[GadgetBlueprint, ...]):
-        if g != len(wires):
-            raise InvalidParam("thickness does not match wire count")
-        axes = {w.axis for w in wires}
-        if len(axes) != 1:
-            raise InvalidParam("thick wire components must share an axis")
-        coord = 1 if wires[0].axis == "V" else 0
-        lanes = sorted(w.origin[coord] for w in wires)
-        for a, b in zip(lanes, lanes[1:]):
-            if b - a != 4:
-                raise InvalidParam(f"wire separation {b - a}, expected 4")
-        for i, a in enumerate(wires):
-            for b in wires[i + 1:]:
-                if rects_intersect(a.bbox, b.bbox):
-                    raise InvalidParam("component wire bounding boxes overlap")
-        return tuple.__new__(cls, (g, wires))
 
 
 class CrossoverSpec(NamedTuple):
@@ -325,10 +299,11 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
     This is the one clause builder; the reducer calls it for every clause.
     attach_points maps a label per literal (the reducer uses the variable
     index) to the g coordinates on the variable row where that literal's
-    wires begin.  Each wire runs vertically from its attach square to a
-    source gap of the bar on level_row and is named
-    <gadget_id>.v<label>.w<i>.  A single activated thick wire advances the
-    bar's reach by g, so the bar acts as an OR of the literals.
+    wires begin, on columns 4 apart.  Each wire runs vertically from its
+    attach square to a source gap of the bar on level_row and is named
+    <gadget_id>.v<label>.w<i>.  A literal's g wires form its thick wire; a
+    single activated thick wire advances the bar's reach by g, so the bar
+    acts as an OR of the literals.
 
     The bar's rear tile sits one square left of the leftmost wire and its
     target on (level_row, target_col).  The bar is shifted exactly when the
@@ -344,8 +319,9 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
     when span is even, and b = (span - 1 - shift) // 2.  A span below 3
     leaves no room for a wire's source gap and raises InvalidParam.
 
-    Returns (or_blueprint, thick_wires, chains), thick wires in the order
-    of attach_points.
+    Returns (or_blueprint, thick_wires, chains).  A thick wire is a plain
+    tuple of its g wire blueprints, in the order of its attach points, and
+    thick_wires holds one per literal, in the order of attach_points.
     """
     if g < 1:
         raise InvalidParam("wire thickness g must be >= 1")
@@ -354,6 +330,10 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
     for pts in attach_points.values():
         if len(pts) != g:
             raise InvalidParam(f"each literal needs exactly {g} attach points")
+        lanes = sorted(c for _, c in pts)
+        for a, b in zip(lanes, lanes[1:]):
+            if b - a != 4:
+                raise InvalidParam(f"wire separation {b - a}, expected 4")
 
     anchor_rows = {r for pts in attach_points.values() for r, _ in pts}
     if len(anchor_rows) != 1:
@@ -397,7 +377,7 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
                 raise ParityMismatch("wire target does not meet the bar row")
             chains.append(chain(wire, bar))
             group.append(wire)
-        wires.append(ThickWire(g, tuple(group)))
+        wires.append(tuple(group))
     return bar, wires, chains
 
 

@@ -42,10 +42,14 @@ left to right: both window layouts, the strip length L, the strip's column,
 the absolute wire and corridor columns (kept in two dicts of its own) and
 the variable's blueprint.  Only then does it build the clauses.
 
-The certificate maps every formula element to its gadget anchors; the
-intended-solution generator and the verifier both consume it.  Its links
-derive their anchors from the blueprints, so normalizing the layout only
-translates the blueprints.
+The certificate maps every formula element to its gadgets and the links
+between them; a thick wire is a plain tuple of its g wire blueprints.  The
+intended-solution generator, the audits and render_certificate read it.
+Every coordinate it holds lives in a blueprint, once: links derive their
+anchors from the blueprints they join and the board's target is the final
+AND's, so normalizing the layout only translates the blueprints.  The wire
+and corridor dicts hold pre-normalization columns; nothing after compile
+reads them.
 """
 
 from __future__ import annotations
@@ -56,9 +60,9 @@ from .board import Board, Move
 from .errors import (EmbeddingInvalid, LayoutOverflow, ParityUnfixable,
                      UnsatisfiedAssignment)
 from .gadgets import (ChainedPair, CrossoverSpec, GadgetBlueprint, ReadLink,
-                      ThickWire, VariableBlueprint, chain, instantiate,
-                      make_clause, make_crossover, make_threshold,
-                      make_variable, rect_union, rects_intersect)
+                      VariableBlueprint, chain, instantiate, make_clause,
+                      make_crossover, make_threshold, make_variable,
+                      rect_union, rects_intersect)
 from .rpm3sat import (Embedding, Formula, NEGATIVE, POSITIVE, auto_embed,
                       validate_embedding)
 
@@ -71,12 +75,16 @@ class ClauseRecord(NamedTuple):
     index: int
     polarity: str
     level: int
-    g: int
     bar_crossings: int        # x: propagators piercing this clause's bar
     bar: GadgetBlueprint
-    wires: list[ThickWire]    # one thick wire per literal, variable order
+    # one thick wire per literal, in variable order: a tuple of its g wires
+    wires: list[tuple[GadgetBlueprint, ...]]
+    # rises (or descends) from the bar's target, in the clause's corridor column
     propagator: GadgetBlueprint
-    corridor_col: int
+
+    @property
+    def g(self) -> int:
+        return len(self.wires[0])
 
 
 class VariableRecord(NamedTuple):
@@ -89,18 +97,17 @@ class Certificate(NamedTuple):
     clauses: list[ClauseRecord]
     upper: GadgetBlueprint        # extreme AND (or constant emitter) above
     lower: GadgetBlueprint        # and below
-    final: GadgetBlueprint
+    final: GadgetBlueprint        # its target is the board's target
     chains: list[ChainedPair]
     crossovers: list[CrossoverSpec]
     reads: list[ReadLink]
-    target: tuple[int, int]
 
     def gadget_blueprints(self) -> list:
         out = [rec.blueprint for rec in self.variables]
         for cr in self.clauses:
             out.append(cr.bar)
             for tw in cr.wires:
-                out.extend(tw.wires)
+                out.extend(tw)
             out.append(cr.propagator)
         out.extend([self.upper, self.lower, self.final])
         return out
@@ -110,7 +117,6 @@ class CompiledPuzzle(NamedTuple):
     board: Board
     certificate: Certificate
     formula: Formula
-    embedding: Embedding
 
 
 # -- internal planning --------------------------------------------------------
@@ -317,15 +323,14 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
         cid = f"clause{p.ci + 1}"
         if p.ci not in corridor:
             raise LayoutOverflow(f"clause {p.ci} never received a corridor")
-        corridor_col = corridor[p.ci]
         attach = {embedding.var_order[vp]: [(0, col) for col in wire_cols[p.ci, vp]]
                   for vp in p.var_positions}
-        bar, wires, links = make_clause(attach, p.g, row, corridor_col, gadget_id=cid)
+        bar, wires, links = make_clause(attach, p.g, row, corridor[p.ci], gadget_id=cid)
         chains.extend(links)
         for vp, tw in zip(p.var_positions, wires):
             vb = variables[vp].blueprint
             lo, hi = (vb.right_window if up else vb.left_window)
-            for wire in tw.wires:
+            for wire in tw:
                 col = wire.origin[1]
                 if not lo <= col <= hi:
                     raise LayoutOverflow(
@@ -339,24 +344,23 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
         gaps = (span - 1 - p.x_prop - p.prop_shift) // 2
         if (span - 1 - p.x_prop - p.prop_shift) % 2 or gaps < 1 + p.x_prop:
             raise ParityUnfixable(f"propagator span for clause {p.ci} is inconsistent")
-        rear = (row + 1 if up else row - 1, corridor_col)
+        rear = (row + 1 if up else row - 1, corridor[p.ci])
         prop = make_threshold(rear, "V", "U" if up else "D", gaps, 1,
                               shifted=bool(p.prop_shift), fillable=1,
                               kind="propagator", gadget_id=f"{cid}.prop")
         chains.append(chain(bar, prop))
-        placed += [bar, *(w for tw in wires for w in tw.wires), prop]
+        placed += [bar, *(w for tw in wires for w in tw), prop]
         records.append(ClauseRecord(
-            index=p.ci, polarity=p.polarity, level=p.level, g=p.g,
-            bar_crossings=p.x_bar, bar=bar,
-            wires=wires, propagator=prop, corridor_col=corridor_col))
+            index=p.ci, polarity=p.polarity, level=p.level,
+            bar_crossings=p.x_bar, bar=bar, wires=wires, propagator=prop))
 
     # crossovers, now that every bar exists
     for p in plans:
         rec = records[p.ci]
         for di in p.crossed:
-            point = (bar_row(plans[di]), rec.corridor_col)
+            point = (bar_row(plans[di]), corridor[p.ci])
             crossovers.append(make_crossover(records[di].bar, rec.propagator, point))
-        wanted = (and_row[p.polarity], rec.corridor_col)
+        wanted = (and_row[p.polarity], corridor[p.ci])
         if rec.propagator.target != wanted:
             raise ParityUnfixable(
                 f"propagator for clause {p.ci} ends at {rec.propagator.target}, "
@@ -367,7 +371,7 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
     side_records = {side: [records[p.ci] for p in members] for side, members in sides.items()}
     for members in side_records.values():
         if members:
-            natural = max(rec.corridor_col for rec in members) + 1
+            natural = max(corridor[rec.index] for rec in members) + 1
             final_col = max(final_col, natural + len(members) + 2)
 
     def make_and(side: str) -> GadgetBlueprint:
@@ -381,7 +385,7 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
             return make_threshold(origin, "H", "R", 1, 1, fillable=1,
                                   kind="emitter", gadget_id=gid,
                                   prefilled=((row, final_col - 3),))
-        cols = sorted(rec.corridor_col for rec in members)
+        cols = sorted(corridor[rec.index] for rec in members)
         k = len(members)
         shift = (final_col - k - 1 - (cols[-1] + 1)) & 1
         last = final_col - k - 1 - shift
@@ -406,27 +410,23 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
                            gadget_id="final")
     chains.append(chain(upper, final))
     chains.append(chain(lower, final))
-    target = final.target
 
     certificate = Certificate(variables=variables, clauses=records,
                               upper=upper, lower=lower, final=final,
-                              chains=chains, crossovers=crossovers,
-                              reads=reads, target=target)
+                              chains=chains, crossovers=crossovers, reads=reads)
 
     # normalize to a 1-square border and instantiate
     blueprints = certificate.gadget_blueprints()
-    box = (*target, *target)
+    box = (*final.target, *final.target)
     for bp in blueprints:
         box = rect_union(box, bp.bbox)
     dr, dc = 1 - box[0], 1 - box[1]
     for bp in blueprints:
         bp.translate(dr, dc)
-    certificate = certificate._replace(target=(target[0] + dr, target[1] + dc))
 
-    board = instantiate(blueprints, certificate.target,
+    board = instantiate(blueprints, final.target,
                         width=box[3] - box[1] + 3, height=box[2] - box[0] + 3)
-    return CompiledPuzzle(board=board, certificate=certificate,
-                          formula=formula, embedding=embedding)
+    return CompiledPuzzle(board=board, certificate=certificate, formula=formula)
 
 
 # -- intended solution ----------------------------------------------------------
@@ -454,7 +454,7 @@ def intended_solution(puzzle: CompiledPuzzle, assignment) -> list[Move]:
     ordered = sorted(cert.clauses, key=lambda r: (r.polarity, r.level, r.index))
     for rec in ordered:
         for tw in rec.wires:
-            for wire in tw.wires:
+            for wire in tw:
                 moves.extend(wire.activation_order)
     for rec in ordered:
         moves.extend(rec.bar.activation_order)
@@ -539,7 +539,7 @@ def check_certificate(puzzle: CompiledPuzzle) -> list[str]:
         problems.append("board tiles do not match certificate ownership")
 
     # the final target sits right of every non-terminal gadget's box
-    tcol = cert.target[1]
+    tcol = cert.final.target[1]
     for bp in cert.gadget_blueprints():
         if bp.gadget_id in (cert.upper.gadget_id, cert.lower.gadget_id,
                             cert.final.gadget_id):
@@ -557,7 +557,7 @@ def render_certificate(puzzle: CompiledPuzzle) -> str:
     cert = puzzle.certificate
     lines = [f"zhed-cert v1",
              f"board {puzzle.board.width} {puzzle.board.height}",
-             f"target {cert.target[0]} {cert.target[1]}"]
+             f"target {cert.final.target[0]} {cert.final.target[1]}"]
     for vr in cert.variables:
         bp = vr.blueprint
         lines.append(f"variable {vr.index} row {bp.row} col {bp.col0} L {bp.length}")
@@ -572,7 +572,7 @@ def render_certificate(puzzle: CompiledPuzzle) -> str:
         lines.append(f"tiles {bp.gadget_id} " +
                      " ".join(f"{r},{c}" for r, c in bp.tiles))
     for rec in cert.clauses:
-        wire_ids = ";".join(",".join(w.gadget_id for w in tw.wires) for tw in rec.wires)
+        wire_ids = ";".join(",".join(w.gadget_id for w in tw) for tw in rec.wires)
         lines.append(f"clause {rec.index + 1} {rec.polarity} level {rec.level} "
                      f"g {rec.g} x {rec.bar_crossings} or {rec.bar.gadget_id} "
                      f"prop {rec.propagator.gadget_id} wires {wire_ids}")

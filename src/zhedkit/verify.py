@@ -36,6 +36,12 @@ CERT_L_MAX = 10  # 2^L move orders bound exhaustive variable certification
 
 
 class GadgetReport:
+    """What one gadget certifier found.
+
+    failures lists every broken law, empty when the gadget passed.  Only
+    the variable and crossover certifiers fill verdicts, with the outcome
+    of each case they play; the threshold certifier reports failures only.
+    """
     __slots__ = ("verdicts", "failures")
 
     def __init__(self):
@@ -128,7 +134,6 @@ def certify_threshold(b_max: int = 5, shifted: bool = False,
             for k in range(1, b + 1):
                 target = (tr, tc - (b - k))
                 got = bool(union[target[0] * width + target[1]])
-                report.verdicts[(b, k, subset)] = got
                 if got != (j >= k):
                     report.failures.append(f"b={b} k={k} j={j} subset={subset}: "
                                            f"fillable={got}, law says {j >= k}")

@@ -258,6 +258,11 @@ class TestTextFormat:
         b = row_board("1..", target=(0, 2))
         assert parse_board(render_board(b) + "\n\n") == b
 
+    def test_crlf_board_parses_like_its_lf_twin(self):
+        b = board_from_cells(4, 3, (2, 1), {(0, 0): 1, (1, 2): 3, (2, 3): BLANK})
+        text = render_board(b)
+        assert parse_board(text.replace("\n", "\r\n")) == parse_board(text) == b
+
     def test_blank_line_inside_the_grid_rejected(self):
         with pytest.raises(ParseError) as err:
             parse_board("zhed v1 3 2\ntarget 0 2\n1..\n\n...\n")

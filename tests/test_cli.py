@@ -109,11 +109,13 @@ def test_gadget_ignores_k_where_it_has_no_meaning(tmp_path):
     assert out.exists()
 
 
+# 200 states decide neither compiled board, so the equivalence row fails
+VERIFY_ARGV = ["verify", "--b-max", "1", "--variable-length", "4", "--samples", "1",
+               "--max-vars", "1", "--max-clauses", "1", "--limits-states", "200"]
+
+
 def test_verify_prints_one_row_per_check(capsys):
-    # 200 states decide neither compiled board, so the equivalence row fails
-    argv = ["verify", "--b-max", "1", "--variable-length", "4", "--samples", "1",
-            "--max-vars", "1", "--max-clauses", "1", "--limits-states", "200"]
-    assert main(argv) == 1
+    assert main(VERIFY_ARGV) == 1
     out, err = capsys.readouterr()
     assert err == ""
     rows = [re.split(r"\s{2,}", line)[:2] for line in out.splitlines()]
@@ -122,6 +124,12 @@ def test_verify_prints_one_row_per_check(capsys):
                     ["crossover order tolerance", "pass"],
                     ["intended replay (1 samples)", "pass"],
                     ["equivalence (n<=1, m<=1)", "FAIL"]]
+
+
+def test_verify_names_the_first_failing_formula(capsys):
+    assert main(VERIFY_ARGV) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.endswith("1 exhausted, 0 disagreements, 0 bad replays; first: p rpm3sat 1; pos 1")
 
 
 def test_directory_as_board_is_a_domain_error(tmp_path, capsys):

@@ -12,9 +12,8 @@ import pytest
 
 from zhedkit.board import BLANK, Move, is_solved
 from zhedkit.errors import AnchorMismatch, InvalidParam, ParityMismatch, TileCollision
-from zhedkit.gadgets import (ThickWire, chain, instantiate, isolated_board,
-                             make_clause, make_crossover, make_threshold,
-                             make_variable)
+from zhedkit.gadgets import (chain, instantiate, isolated_board, make_clause,
+                             make_crossover, make_threshold, make_variable)
 from zhedkit.solver import Solvable, Unsolvable, replay, solve
 
 
@@ -321,7 +320,7 @@ class TestClause:
     def test_two_literal_clause_shape(self):
         bar, wires, links = self.clause(12, (4, 16), 2, 5)
         assert bar.k == 2 and not bar.shifted
-        assert len(wires) == 2 and all(tw.g == 2 for tw in wires)
+        assert len(wires) == 2 and all(len(tw) == 2 for tw in wires)
         assert bar.target[1] == bar.tiles[-1][1] + 3  # g+1 beyond the last tile
         assert len(links) == 4
 
@@ -329,7 +328,7 @@ class TestClause:
         attach = {7: [(12, 4)], 9: [(12, 16)]}
         bar, wires, _ = make_clause(attach, 1, 5, 20, gadget_id="clause3")
         assert bar.gadget_id == "clause3.or"
-        assert [w.gadget_id for tw in wires for w in tw.wires] == [
+        assert [w.gadget_id for tw in wires for w in tw] == [
             "clause3.v7.w0", "clause3.v9.w0"]
 
     @pytest.mark.parametrize("extra, shifted", [(0, False), (1, True), (2, False), (3, True)])
@@ -351,11 +350,11 @@ class TestClause:
 
     def test_single_thick_wire_activates_clause(self):
         bar, wires, _ = self.clause(12, (4, 16), 2, 5)
-        for tw in wires[0].wires:
-            tw.prefilled = (tw.sources[0],)
-        blueprints = [w for tw in wires for w in tw.wires] + [bar]
+        for w in wires[0]:
+            w.prefilled = (w.sources[0],)
+        blueprints = [w for tw in wires for w in tw] + [bar]
         board = instantiate(blueprints, bar.target, width=30, height=16)
-        moves = [m for tw in wires for w in tw.wires for m in w.activation_order]
+        moves = [m for tw in wires for w in tw for m in w.activation_order]
         moves += bar.activation_order
         assert is_solved(replay(board, moves))
 
@@ -363,10 +362,10 @@ class TestClause:
         # g=2, one crossover intersection pre-filled: reach stays below k
         bar, wires, _ = self.clause(12, (4, 16), 2, 5)
         bar.prefilled = (bar.sources[3],)  # a single mid-bar gap, as a crossing would fill
-        blueprints = [w for tw in wires for w in tw.wires] + [bar]
+        blueprints = [w for tw in wires for w in tw] + [bar]
         board = instantiate(blueprints, bar.target, width=30, height=16)
         # unfed wires deliver nothing, so the bar reaches j+1 = 2 < g+1
-        after_wires = replay(board, [m for tw in wires for w in tw.wires
+        after_wires = replay(board, [m for tw in wires for w in tw
                                      for m in w.activation_order])
         assert activation_reach(after_wires, bar) == 2
         assert replay(after_wires, bar.activation_order).at(*bar.target) == 0
@@ -380,7 +379,7 @@ class TestClause:
         attach = self.attach(base_row, (4, 16), 2)
         bar, wires, _ = self.clause(base_row, (4, 16), 2, level_row)
         for pts, tw in zip(attach.values(), wires):
-            for (row, col), w in zip(pts, tw.wires):
+            for (row, col), w in zip(pts, tw):
                 assert w.sources[0] == (row, col)
                 assert w.target == (level_row, col)
                 assert w.target in bar.sources
@@ -390,11 +389,11 @@ class TestClause:
     @pytest.mark.parametrize("fed", [0, 1])
     def test_any_single_literal_activates_clause(self, base_row, level_row, fed):
         bar, wires, _ = self.clause(base_row, (4, 16), 2, level_row)
-        for w in wires[fed].wires:
+        for w in wires[fed]:
             w.prefilled = (w.sources[0],)
-        blueprints = [w for tw in wires for w in tw.wires] + [bar]
+        blueprints = [w for tw in wires for w in tw] + [bar]
         board = instantiate(blueprints, bar.target, width=30, height=16)
-        moves = [m for tw in wires for w in tw.wires for m in w.activation_order]
+        moves = [m for tw in wires for w in tw for m in w.activation_order]
         moves += bar.activation_order
         assert is_solved(replay(board, moves))
 
@@ -404,9 +403,9 @@ class TestClause:
             self.clause(12, (4,), 1, level_row)
 
     def test_wire_separation_enforced(self):
-        wires = tuple(make_threshold((8, c), "V", "U", 1, 1) for c in (0, 3))
-        with pytest.raises(InvalidParam):
-            ThickWire(2, wires)
+        # the second literal's lanes sit 3 apart, not 4
+        with pytest.raises(InvalidParam, match="wire separation 3"):
+            make_clause({1: [(12, 4), (12, 8)], 2: [(12, 16), (12, 19)]}, 2, 5, 26)
 
 
 class TestInstantiate:

@@ -73,6 +73,17 @@ def test_audits_are_empty(puzzles):
     assert problems == {}
 
 
+def test_board_coordinates_live_in_the_blueprints(puzzles):
+    # the board's target is the final AND's, and each propagator's rear tile
+    # sits one row behind its bar's target, in that target's column
+    for p in puzzles:
+        cert = p.certificate
+        assert p.board.target == cert.final.target, _name(p)
+        for rec in cert.clauses:
+            (tr, tc), prop = rec.bar.target, rec.propagator
+            assert prop.origin == (tr - prop.delta[0], tc), _name(p)
+
+
 def test_intended_solution_solves_satisfiable_boards(puzzles):
     satisfiable = [(p, a) for p in puzzles
                    if (a := rpm3sat.sat_oracle(p.formula)) is not None]
