@@ -22,9 +22,12 @@ the true connected count.  The count only sizes the box; the blueprint does
 not keep it.  Chaining or a crossover lengthens the affected boxes by one
 square per the interaction.
 
-make_clause assembles a whole clause (an OR bar fed by thick wires, each a
-plain tuple of g parallel wire blueprints 4 columns apart); it is the only
-clause builder, used by the reducer and by the tests alike.  The
+make_bar builds a rightward threshold bar from its first and last input
+columns and its target column, shifting it exactly when parity demands;
+the clause ORs and the extreme ANDs are such bars.  make_clause assembles
+a whole clause (a make_bar OR fed by thick wires, each a plain tuple of g
+parallel wire blueprints 4 columns apart); it is the only clause builder,
+used by the reducer and by the tests alike.  The
 link records (ChainedPair, CrossoverSpec, ReadLink) compute their anchor
 squares from the blueprints they join, so translating the blueprints moves
 the links with them.  The blueprints are mutable, slotted records that the
@@ -292,6 +295,28 @@ def make_crossover(horizontal: GadgetBlueprint, vertical: GadgetBlueprint,
     return CrossoverSpec(horizontal, vertical)
 
 
+def make_bar(row: int, first: int, last_input: int, target_col: int, k: int,
+             fillable: int, *, kind: str, gadget_id: str) -> GadgetBlueprint:
+    """Rightward threshold bar on row fed at columns first..last_input.
+
+    The rear tile sits at (row, first - 1), so first and last_input are
+    source gaps, and the target is (row, target_col).  The bar is shifted
+    exactly when the parity of target_col demands it.  A target nearer than
+    k+1 squares beyond the tile after last_input, or inputs whose columns
+    differ in parity, raise ParityMismatch.  Clause ORs and the extreme ANDs
+    are both such bars.
+    """
+    shift = (target_col - last_input - k) & 1
+    last = target_col - k - 1 - shift  # the last tile, before the k+1 reach
+    if last <= last_input or (last_input - first) % 2:
+        raise ParityMismatch(
+            f"no bar from column {first - 1} past input {last_input} "
+            f"has its target on column {target_col}")
+    return make_threshold((row, first - 1), "H", "R", (last - first + 1) // 2, k,
+                          shifted=bool(shift), fillable=fillable,
+                          kind=kind, gadget_id=gadget_id)
+
+
 def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
                 gadget_id: str = "clause"):
     """Clause gadget: a horizontal OR bar with k=g fed by thick wires.
@@ -305,11 +330,10 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
     single activated thick wire advances the bar's reach by g, so the bar
     acts as an OR of the literals.
 
-    The bar's rear tile sits one square left of the leftmost wire and its
-    target on (level_row, target_col).  The bar is shifted exactly when the
-    parity of target_col demands it; a target column nearer than g+1
-    squares beyond the last wire's gap raises ParityMismatch.  Every source
-    can be filled by a wire, so the bar's fillable count is (literals) * g.
+    The bar comes from make_bar: its rear tile sits one square left of the
+    leftmost wire, its target on (level_row, target_col), and it is shifted
+    exactly when the parity of target_col demands it.  Every source can be
+    filled by a wire, so the bar's fillable count is (literals) * g.
 
     Each wire is a threshold gadget with k=1 whose rear tile sits one square
     behind the variable row, so its first source is the attach square and
@@ -349,18 +373,8 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
     if len(set(all_cols)) != len(all_cols):
         raise InvalidParam("attach columns must be distinct")
 
-    origin = (level_row, all_cols[0] - 1)
-    natural_last = all_cols[-1] + 1
-    shifted_bar = (target_col - natural_last - g - 1) % 2 == 1
-    last = target_col - g - 1 - (1 if shifted_bar else 0)
-    if last < natural_last:
-        raise ParityMismatch(
-            f"target column {target_col} unreachable from bar end {natural_last}")
-    bar = make_threshold(origin, "H", "R", (last - origin[1]) // 2, g,
-                         shifted=shifted_bar, fillable=len(attach_points) * g,
-                         kind="clause-or", gadget_id=gadget_id + ".or")
-    if bar.target != (level_row, target_col):
-        raise ParityMismatch("bar target landed off the requested column")
+    bar = make_bar(level_row, all_cols[0], all_cols[-1], target_col, g,
+                   len(attach_points) * g, kind="clause-or", gadget_id=gadget_id + ".or")
 
     shifted_wire = span % 2 == 0
     b_wire = (span - 1 - (1 if shifted_wire else 0)) // 2
@@ -381,8 +395,7 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
     return bar, wires, chains
 
 
-def instantiate(blueprints, target: Coord, width: int | None = None,
-                height: int | None = None) -> Board:
+def instantiate(blueprints, target: Coord, width: int, height: int) -> Board:
     """Board with a value-1 tile at every blueprint tile, Empty elsewhere.
 
     Pre-filled squares declared by blueprints become Blank.  Two blueprints
@@ -399,15 +412,6 @@ def instantiate(blueprints, target: Coord, width: int | None = None,
             tiles[t] = bp.gadget_id
         for p in getattr(bp, "prefilled", ()):
             prefills[p] = bp.gadget_id
-    if width is None or height is None:
-        box = None
-        for bp in blueprints:
-            box = bp.bbox if box is None else rect_union(box, bp.bbox)
-        if box is None:
-            raise InvalidParam("nothing to instantiate")
-        box = rect_union(box, (*target, *target))
-        height = height or box[2] + 2
-        width = width or box[3] + 2
 
     cells = bytearray(width * height)
     for (r, c), owner in tiles.items():

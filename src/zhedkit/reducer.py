@@ -32,6 +32,8 @@ inputs.
 Every clause's bar and thick wires come from gadgets.make_clause; the
 reducer chooses the wire columns, the bar row and the corridor, checks that
 each wire attaches inside its variable's window, and records the reads.
+Clause ORs and both extreme ANDs are gadgets.make_bar bars: given the first
+and last input columns and the target column, it alone decides the shift.
 
 The plan is built once, in immutable records: _plan_clauses gives each
 clause a _ClausePlan (its variable positions, the bars its propagator
@@ -41,6 +43,13 @@ the window.  compile lays out, places and builds each variable in one pass,
 left to right: both window layouts, the strip length L, the strip's column,
 the absolute wire and corridor columns (kept in two dicts of its own) and
 the variable's blueprint.  Only then does it build the clauses.
+
+L is a closed form of the two window layouts.  Let need = 2 * (the larger
+last wire offset) + 2, where an unused window counts -1; with both windows
+used, raise need to ceil(2 * (MARGIN - right rel_min + left rel_max) / 5)
+so the left window's spill clears the right window's pokes.  L = 2 when at
+most one window is used and need <= 2; otherwise L is the least multiple of
+4 that is >= need.
 
 The certificate maps every formula element to its gadgets and the links
 between them; a thick wire is a plain tuple of its g wire blueprints.  The
@@ -60,9 +69,9 @@ from .board import Board, Move
 from .errors import (EmbeddingInvalid, LayoutOverflow, ParityUnfixable,
                      UnsatisfiedAssignment)
 from .gadgets import (ChainedPair, CrossoverSpec, GadgetBlueprint, ReadLink,
-                      VariableBlueprint, chain, instantiate, make_clause,
-                      make_crossover, make_threshold, make_variable,
-                      rect_union, rects_intersect)
+                      VariableBlueprint, chain, instantiate, make_bar,
+                      make_clause, make_crossover, make_threshold,
+                      make_variable, rect_union, rects_intersect)
 from .rpm3sat import (Embedding, Formula, NEGATIVE, POSITIVE, auto_embed,
                       validate_embedding)
 
@@ -209,32 +218,20 @@ def _layout_window(side_plans: list[_ClausePlan], position: int) -> _WindowLayou
 
 
 def _fit_length(rw: _WindowLayout, lw: _WindowLayout) -> int:
-    """Smallest usable even L for a variable given its two window layouts."""
-    rw_used = bool(rw.wire_offsets)
-    lw_used = bool(lw.wire_offsets)
+    """Smallest usable even L for a variable given its two window layouts.
 
-    def fits(length: int) -> bool:
-        if rw_used and rw.last_wire > length // 2 - 1:
-            return False
-        if lw_used and lw.last_wire > length // 2 - 1:
-            return False
-        if rw_used and lw_used:
-            if length % 4:
-                return False  # window parity needs L divisible by 4
-            # left-side spill must stay clear of the right window's pokes
-            if 5 * length // 2 + rw.rel_min - lw.rel_max < MARGIN:
-                return False
-        elif length > 2 and length % 4:
-            return False  # one window: L is 2 or divisible by 4
-        return True
-
-    if not rw_used and not lw_used:
+    Each used window's wires must sit within its first L/2 columns.  With
+    both windows used, L must be divisible by 4 (window parity) and the left
+    window's spill must stay MARGIN clear of the right window's pokes, which
+    sit 5L/2 columns farther right.  With one window, L is 2 or divisible
+    by 4.
+    """
+    need = 2 * max(rw.last_wire, lw.last_wire) + 2
+    if rw.wire_offsets and lw.wire_offsets:
+        need = max(need, -(-2 * (MARGIN - rw.rel_min + lw.rel_max) // 5))
+    elif need <= 2:
         return 2
-    candidates = [2, 4] + list(range(8, 8 + 4 * (rw.last_wire + lw.last_wire + 32), 4))
-    for length in candidates:
-        if fits(length):
-            return length
-    raise LayoutOverflow("no variable length fits the window layout")
+    return need + (-need) % 4
 
 
 # -- compilation ---------------------------------------------------------------
@@ -288,22 +285,16 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
     for vp, var in enumerate(embedding.var_order):
         rw, lw = _layout_window(sides[POSITIVE], vp), _layout_window(sides[NEGATIVE], vp)
         length = _fit_length(rw, lw)
-        left_reach = 3 * length // 2
-        if lw.wire_offsets:
-            left_reach = max(left_reach, length - lw.rel_min)
-        if rw.wire_offsets:
-            left_reach = max(left_reach, -(3 * length // 2) - rw.rel_min)
+        # an unused window has rel_min 0 and rel_max -1, so its terms never win
+        half3 = 3 * length // 2
+        left_reach = max(half3, length - lw.rel_min, -half3 - rw.rel_min)
         vx = 0 if prev_right is None else prev_right + MARGIN + left_reach
         if length % 4 and rw.wire_offsets:  # L == 2, right window only: start vx + 3 must be even
             vx += (vx & 1) ^ 1
         else:
             vx += vx & 1
-        prev_right = vx + length - 1 + 3 * length // 2
-        if rw.wire_offsets:
-            prev_right = max(prev_right, vx + 3 * length // 2 + rw.rel_max)
-        if lw.wire_offsets:
-            prev_right = max(prev_right, vx - length + lw.rel_max)
-        for w, start in ((rw, vx + 3 * length // 2), (lw, vx - length)):
+        prev_right = vx + max(length - 1 + half3, half3 + rw.rel_max, lw.rel_max - length)
+        for w, start in ((rw, vx + half3), (lw, vx - length)):
             for ci, offsets in w.wire_offsets.items():
                 wire_cols[ci, vp] = [start + o for o in offsets]
             for ci, off in w.corridor_offsets.items():
@@ -321,8 +312,6 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
         row = bar_row(p)
         up = p.polarity == POSITIVE
         cid = f"clause{p.ci + 1}"
-        if p.ci not in corridor:
-            raise LayoutOverflow(f"clause {p.ci} never received a corridor")
         attach = {embedding.var_order[vp]: [(0, col) for col in wire_cols[p.ci, vp]]
                   for vp in p.var_positions}
         bar, wires, links = make_clause(attach, p.g, row, corridor[p.ci], gadget_id=cid)
@@ -387,16 +376,7 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
                                   prefilled=((row, final_col - 3),))
         cols = sorted(corridor[rec.index] for rec in members)
         k = len(members)
-        shift = (final_col - k - 1 - (cols[-1] + 1)) & 1
-        last = final_col - k - 1 - shift
-        origin = (row, cols[0] - 1)
-        if last < cols[-1] + 1 or (last - origin[1]) % 2:
-            raise ParityUnfixable("extreme AND extent is inconsistent")
-        bp = make_threshold(origin, "H", "R", (last - origin[1]) // 2, k,
-                            shifted=bool(shift), fillable=k,
-                            kind="and", gadget_id=gid)
-        if bp.target != (row, final_col):
-            raise ParityUnfixable("extreme AND target misses the final column")
+        bp = make_bar(row, cols[0], cols[-1], final_col, k, k, kind="and", gadget_id=gid)
         for rec in members:
             chains.append(chain(rec.propagator, bp))
         return bp

@@ -12,7 +12,7 @@ import pytest
 
 from zhedkit.board import BLANK, Move, is_solved
 from zhedkit.errors import AnchorMismatch, InvalidParam, ParityMismatch, TileCollision
-from zhedkit.gadgets import (chain, instantiate, isolated_board, make_clause,
+from zhedkit.gadgets import (chain, instantiate, isolated_board, make_bar, make_clause,
                              make_crossover, make_threshold, make_variable)
 from zhedkit.solver import Solvable, Unsolvable, replay, solve
 
@@ -408,10 +408,36 @@ class TestClause:
             make_clause({1: [(12, 4), (12, 8)], 2: [(12, 16), (12, 19)]}, 2, 5, 26)
 
 
+class TestBar:
+    def bar(self, first, last_input, target_col, k=2):
+        """An extreme-AND-shaped bar: every one of its k inputs is fillable."""
+        return make_bar(4, first, last_input, target_col, k, k,
+                        kind="and", gadget_id="and")
+
+    @pytest.mark.parametrize("target_col, shifted", [(11, False), (12, True),
+                                                      (13, False), (14, True)])
+    def test_shift_follows_target_column_parity(self, target_col, shifted):
+        # inputs at columns 3 and 7: the nearest target is k+1 beyond tile 8
+        bar = self.bar(3, 7, target_col)
+        assert bar.shifted == shifted
+        assert bar.origin == (4, 2) and bar.target == (4, target_col)
+        assert {(4, 3), (4, 7)} <= set(bar.sources)
+        assert (bar.k, bar.kind) == (2, "and")
+
+    def test_target_one_column_too_near_rejected(self):
+        with pytest.raises(ParityMismatch):
+            self.bar(3, 7, 10)
+
+    def test_inputs_of_mixed_column_parity_rejected(self):
+        # column 10 would be a tile of any bar whose rear tile sits at 2
+        with pytest.raises(ParityMismatch):
+            self.bar(3, 10, 20, k=1)
+
+
 class TestInstantiate:
     def test_single_wire(self):
         bp = make_threshold((2, 2), "H", "R", 1, 1)
-        board = instantiate([bp], bp.target)
+        board = isolated_board(bp)
         assert board.tile_count() == 2
 
     def test_collision_names_both_owners(self):
@@ -423,6 +449,6 @@ class TestInstantiate:
 
     def test_fig_sized_threshold_has_six_tiles_in_a_row(self):
         bp = make_threshold((2, 2), "H", "R", 5, 3)
-        board = instantiate([bp], bp.target)
+        board = isolated_board(bp)
         rows = {r for r, _, _ in board.tiles()}
         assert rows == {2} and board.tile_count() == 6

@@ -1,15 +1,17 @@
-"""The reducer over every auto-embeddable formula with n <= 2, m <= 3, and
-over seeded larger ones.
+"""The reducer over every auto-embeddable formula with n <= 2, m <= 3, over
+seeded larger ones, and over explicit embeddings.
 
 verify.enumerate_formulas(2, 3) yields 92 formulas that auto_embed accepts.
 Their certificates are pinned by one md5, and the certificates and boards of
 40 seeded random formulas with n <= 8, m <= 6 by another, which covers more
-crossings per clause, wider windows and longer strips.  So any change to the
-layout, the gadget arithmetic or the certificate text shows here and must
-update the digests on purpose.
+crossings per clause, wider windows and longer strips.  A third md5 pins
+the boards compiled from explicit order/level blocks, which reorder the
+variables.  So any change to the layout, the gadget arithmetic or the
+certificate text shows here and must update the digests on purpose.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -26,6 +28,14 @@ FORMULA_COUNT = 92
 # first LARGE_COUNT of random_satisfiable_formula(random.Random(LARGE_SEED), 8, 6)
 LARGE_MD5 = "bf68e80024916503c61d3d89903adcf3"
 LARGE_SEED, LARGE_COUNT = 23, 40
+# md5 of render_certificate plus render_board, formula by formula, over every
+# formula of enumerate_formulas(3, 2) under each non-identity variable order,
+# with the first valid level vector in 1..3 (itertools.product order), compiled
+# from its instance text with an order/level block
+EXPLICIT_MD5 = "0fefff0a708fc7f83b2a94839a4535b1"
+EXPLICIT_COUNT = 612
+# 595 of them are satisfiable; replaying all would take over 10 s
+EXPLICIT_REPLAY_STRIDE = 32
 # intended replay costs about 0.2 s per board, so only every REPLAY_STRIDE-th
 # satisfiable formula is replayed
 REPLAY_STRIDE = 8
@@ -33,6 +43,24 @@ REPLAY_STRIDE = 8
 
 def _name(puzzle):
     return rpm3sat.render_instance(puzzle.formula).strip().replace("\n", "; ")
+
+
+def _digest(puzzles):
+    digest = hashlib.md5()
+    for puzzle in puzzles:
+        text = reducer.render_certificate(puzzle) + render_board(puzzle.board)
+        digest.update(text.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _audit(puzzles):
+    problems = {}
+    for p in puzzles:
+        found = [v.detail for v in reducer.audit_bboxes(p)]
+        found += reducer.check_certificate(p)
+        if found:
+            problems[_name(p)] = found
+    return problems
 
 
 @pytest.fixture(scope="module")
@@ -47,30 +75,53 @@ def puzzles():
     return out
 
 
+@pytest.fixture(scope="module")
+def large_puzzles():
+    rng = random.Random(LARGE_SEED)
+    return [reducer.compile(verify.random_satisfiable_formula(rng, 8, 6))
+            for _ in range(LARGE_COUNT)]
+
+
 def test_certificates_match_golden_digest(puzzles):
     assert len(puzzles) == FORMULA_COUNT
     text = "".join(reducer.render_certificate(p) for p in puzzles)
     assert hashlib.md5(text.encode("utf-8")).hexdigest() == GOLDEN_MD5
 
 
-def test_larger_formulas_match_golden_digest():
-    rng = random.Random(LARGE_SEED)
-    digest = hashlib.md5()
-    for _ in range(LARGE_COUNT):
-        puzzle = reducer.compile(verify.random_satisfiable_formula(rng, 8, 6))
-        text = reducer.render_certificate(puzzle) + render_board(puzzle.board)
-        digest.update(text.encode("utf-8"))
-    assert digest.hexdigest() == LARGE_MD5
+def test_larger_formulas_match_golden_digest(large_puzzles):
+    assert _digest(large_puzzles) == LARGE_MD5
 
 
-def test_audits_are_empty(puzzles):
-    problems = {}
-    for p in puzzles:
-        found = [v.detail for v in reducer.audit_bboxes(p)]
-        found += reducer.check_certificate(p)
-        if found:
-            problems[_name(p)] = found
-    assert problems == {}
+def test_audits_are_empty(puzzles, large_puzzles):
+    # the larger formulas use both windows of a strip, and on some the strip
+    # length is set by the left window's spill rather than by its wires
+    assert _audit(puzzles + large_puzzles) == {}
+
+
+def test_explicit_embeddings_compile_soundly():
+    puzzles = []
+    for formula in verify.enumerate_formulas(3, 2):
+        identity = tuple(range(1, formula.num_vars + 1))
+        for order in itertools.permutations(identity):
+            if order == identity:
+                continue
+            for levels in itertools.product(range(1, 4), repeat=len(formula.clauses)):
+                embedding = rpm3sat.Embedding(order, levels)
+                if not rpm3sat.validate_embedding(formula, embedding):
+                    break
+            else:
+                continue  # no level vector in 1..3 fits this order
+            text = rpm3sat.render_instance(formula, embedding)
+            puzzles.append(reducer.compile(*rpm3sat.parse_instance(text)))
+    assert len(puzzles) == EXPLICIT_COUNT
+    assert _digest(puzzles) == EXPLICIT_MD5
+    assert _audit(puzzles) == {}
+    satisfiable = [(p, a) for p in puzzles
+                   if (a := rpm3sat.sat_oracle(p.formula)) is not None]
+    assert len(satisfiable) == 595
+    unsolved = [_name(p) for p, a in satisfiable[::EXPLICIT_REPLAY_STRIDE]
+                if not is_solved(replay(p.board, reducer.intended_solution(p, a)))]
+    assert unsolved == []
 
 
 def test_board_coordinates_live_in_the_blueprints(puzzles):

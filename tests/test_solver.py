@@ -9,7 +9,7 @@ import pytest
 from zhedkit.board import (BLANK, EMPTY, Board, Move, apply_move, board_from_cells, is_solved,
                            parse_board)
 from zhedkit.errors import ParseError, ReplayError
-from zhedkit.gadgets import instantiate, make_threshold
+from zhedkit.gadgets import isolated_board, make_threshold
 from zhedkit.solver import (ResourceExhausted, Solvable, SolveLimits, Unsolvable,
                             parse_trace, render_trace, replay, solve)
 
@@ -70,13 +70,13 @@ class TestSolveBasics:
     def test_threshold_gadget_below_k_is_unsolvable(self):
         bp = make_threshold((2, 2), "H", "R", 5, 3)
         bp.prefilled = bp.sources[:2]
-        board = instantiate([bp], bp.target)
+        board = isolated_board(bp)
         assert isinstance(solve(board), Unsolvable)
 
     def test_threshold_gadget_at_k_is_solvable(self):
         bp = make_threshold((2, 2), "H", "R", 5, 3)
         bp.prefilled = bp.sources[:3]
-        board = instantiate([bp], bp.target)
+        board = isolated_board(bp)
         result = solve(board)
         assert isinstance(result, Solvable)
         assert is_solved(replay(board, result.moves))
@@ -84,7 +84,7 @@ class TestSolveBasics:
     def test_witness_length_within_tile_count(self):
         bp = make_threshold((2, 2), "H", "R", 4, 2)
         bp.prefilled = bp.sources[:4]
-        board = instantiate([bp], bp.target)
+        board = isolated_board(bp)
         result = solve(board)
         assert isinstance(result, Solvable)
         assert len(result.moves) <= board.tile_count()
@@ -92,7 +92,7 @@ class TestSolveBasics:
     def test_deterministic_witness(self):
         bp = make_threshold((2, 2), "H", "R", 4, 2)
         bp.prefilled = bp.sources[:2]
-        board = instantiate([bp], bp.target)
+        board = isolated_board(bp)
         assert solve(board) == solve(board)
 
 
@@ -126,14 +126,14 @@ class TestCompleteness:
 class TestLimits:
     def test_state_budget_reports_exhaustion(self):
         bp = make_threshold((2, 2), "H", "R", 5, 5)
-        board = instantiate([bp], bp.target)
+        board = isolated_board(bp)
         result = solve(board, SolveLimits(max_states=5))
         assert isinstance(result, ResourceExhausted)
         assert result.states_visited == 5
 
     def test_wall_clock_budget(self):
         bp = make_threshold((2, 2), "H", "R", 6, 6)
-        board = instantiate([bp], bp.target)
+        board = isolated_board(bp)
         result = solve(board, SolveLimits(max_millis=1))
         assert isinstance(result, (ResourceExhausted, Unsolvable))
 
@@ -157,7 +157,7 @@ class TestReplay:
     def test_solver_witness_replays_to_solved(self):
         bp = make_threshold((2, 2), "H", "R", 3, 1)
         bp.prefilled = bp.sources[:1]
-        board = instantiate([bp], bp.target)
+        board = isolated_board(bp)
         result = solve(board)
         assert is_solved(replay(board, result.moves))
 
