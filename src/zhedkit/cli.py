@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import reducer, rpm3sat, verify
 from .board import parse_board, render_board
-from .errors import ParseError, UnsatisfiedAssignment, ZhedError
+from .errors import ParseError, ZhedError
 from .gadgets import isolated_board, make_threshold, make_variable, instantiate
 from .solver import (ResourceExhausted, Solvable, SolveLimits, Unsolvable,
                      parse_trace, render_trace, replay, solve)
@@ -199,11 +199,7 @@ def cmd_intended(args) -> int:
         print("error: CertificateMismatch: certificate does not match this "
               "instance", file=sys.stderr)
         return 1
-    values = _parse_assignment(_read(args.assignment))
-    if len(values) != formula.num_vars:
-        raise UnsatisfiedAssignment(
-            f"assignment has {len(values)} values, formula has {formula.num_vars}")
-    moves = reducer.intended_solution(puzzle, values)
+    moves = reducer.intended_solution(puzzle, _parse_assignment(_read(args.assignment)))
     _write_atomic(args.out_trace, render_trace(moves))
     return 0
 

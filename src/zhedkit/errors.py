@@ -92,14 +92,6 @@ class EmbeddingInvalid(ZhedError):
     pass
 
 
-class LayoutOverflow(ZhedError):
-    """Internal spacing failure; indicates a layout bug, surfaced loudly."""
-
-
-class ParityUnfixable(ZhedError):
-    """A parity mismatch no shift gadget could fix; indicates a layout bug."""
-
-
 class UnsatisfiedAssignment(ZhedError):
     pass
 

@@ -22,12 +22,13 @@ the true connected count.  The count only sizes the box; the blueprint does
 not keep it.  Chaining or a crossover lengthens the affected boxes by one
 square per the interaction.
 
-make_bar builds a rightward threshold bar from its first and last input
-columns and its target column, shifting it exactly when parity demands;
-the clause ORs and the extreme ANDs are such bars.  make_clause assembles
-a whole clause (a make_bar OR fed by thick wires, each a plain tuple of g
-parallel wire blueprints 4 columns apart); it is the only clause builder,
-used by the reducer and by the tests alike.  The
+make_bar builds a threshold bar in any of the four directions from its
+first and last input positions and its target position along one row or
+column, shifting it exactly when parity demands; every gadget of the
+reduction except the variable strips and the crossovers is such a bar.
+make_clause assembles a whole clause (a make_bar OR fed by thick wires,
+each a plain tuple of g parallel make_bar wires 4 columns apart); it is
+the only clause builder, used by the reducer and by the tests alike.  The
 link records (ChainedPair, CrossoverSpec, ReadLink) compute their anchor
 squares from the blueprints they join, so translating the blueprints moves
 the links with them.  The blueprints are mutable, slotted records that the
@@ -173,8 +174,7 @@ class ReadLink(NamedTuple):
 
 def make_threshold(origin: Coord, axis: str, forward: str, num_sources: int,
                    k: int, *, shifted: bool = False, fillable: int | None = None,
-                   kind: str = "threshold", gadget_id: str = "",
-                   prefilled: tuple[Coord, ...] = ()) -> GadgetBlueprint:
+                   kind: str = "threshold", gadget_id: str = "") -> GadgetBlueprint:
     """Threshold gadget with its rear tile at origin.
 
     num_sources is the gap count b; the default bounding box assumes every
@@ -218,7 +218,7 @@ def make_threshold(origin: Coord, axis: str, forward: str, num_sources: int,
         gadget_id=gadget_id, kind=kind, axis=axis, forward=forward,
         origin=origin, gaps=num_sources, k=k, shifted=shifted,
         tiles=tuple(tiles), sources=sources, target=target,
-        bbox=span, prefilled=prefilled)
+        bbox=span, prefilled=())
 
 
 def make_variable(origin: Coord, length: int, *, gadget_id: str = "") -> VariableBlueprint:
@@ -295,24 +295,31 @@ def make_crossover(horizontal: GadgetBlueprint, vertical: GadgetBlueprint,
     return CrossoverSpec(horizontal, vertical)
 
 
-def make_bar(row: int, first: int, last_input: int, target_col: int, k: int,
-             fillable: int, *, kind: str, gadget_id: str) -> GadgetBlueprint:
-    """Rightward threshold bar on row fed at columns first..last_input.
+def make_bar(line: int, first: int, last_input: int, target: int, k: int,
+             fillable: int, *, forward: str, kind: str, gadget_id: str) -> GadgetBlueprint:
+    """Threshold bar running forward along a line, fed at first..last_input.
 
-    The rear tile sits at (row, first - 1), so first and last_input are
-    source gaps, and the target is (row, target_col).  The bar is shifted
-    exactly when the parity of target_col demands it.  A target nearer than
-    k+1 squares beyond the tile after last_input, or inputs whose columns
-    differ in parity, raise ParityMismatch.  Clause ORs and the extreme ANDs
-    are both such bars.
+    line is the bar's row for R or L and its column for U or D; first,
+    last_input and target are positions along it.  With s = +1 for R and D
+    and -1 for U and L, the rear tile sits at first - s, so first and
+    last_input are source gaps, and the target square sits at target.  The
+    bar is shifted exactly when the parity of the target demands it.  A
+    target nearer than k+1 squares past the tile after last_input, or inputs
+    whose positions differ in parity, raise ParityMismatch.  Every gadget of
+    the reduction except the strips and the crossovers is such a bar.
     """
-    shift = (target_col - last_input - k) & 1
-    last = target_col - k - 1 - shift  # the last tile, before the k+1 reach
-    if last <= last_input or (last_input - first) % 2:
+    if forward not in _AXIS_OF:
+        raise InvalidParam(f"bad direction {forward!r}")
+    s = 1 if forward in ("R", "D") else -1
+    shift = (s * (target - last_input) - k) & 1
+    last = target - s * (k + 1 + shift)  # the last tile, before the k+1 reach
+    if s * (last - last_input) <= 0 or (last_input - first) % 2:
         raise ParityMismatch(
-            f"no bar from column {first - 1} past input {last_input} "
-            f"has its target on column {target_col}")
-    return make_threshold((row, first - 1), "H", "R", (last - first + 1) // 2, k,
+            f"no {forward} bar on line {line} from {first - s} past input "
+            f"{last_input} has its target at {target}")
+    axis = _AXIS_OF[forward]
+    rear = (line, first - s) if axis == "H" else (first - s, line)
+    return make_threshold(rear, axis, forward, (s * (last - first) + 1) // 2, k,
                           shifted=bool(shift), fillable=fillable,
                           kind=kind, gadget_id=gadget_id)
 
@@ -335,13 +342,11 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
     exactly when the parity of target_col demands it.  Every source can be
     filled by a wire, so the bar's fillable count is (literals) * g.
 
-    Each wire is a threshold gadget with k=1 whose rear tile sits one square
-    behind the variable row, so its first source is the attach square and
-    its target is the bar's gap (level_row, attach column).  With span =
-    |variable row - level_row|, the target lies span+1 squares from the
-    rear tile, which is 2b+2 (+1 when shifted): the wire is shifted exactly
-    when span is even, and b = (span - 1 - shift) // 2.  A span below 3
-    leaves no room for a wire's source gap and raises InvalidParam.
+    Each wire is a vertical make_bar bar with k=1 whose first source is the
+    attach square and whose target is the bar's gap (level_row, attach
+    column); it is shifted exactly when |variable row - level_row| is even.
+    A span below 3 rows leaves no room for a wire's source gap and raises
+    InvalidParam.
 
     Returns (or_blueprint, thick_wires, chains).  A thick wire is a plain
     tuple of its g wire blueprints, in the order of its attach points, and
@@ -366,29 +371,23 @@ def make_clause(attach_points: dict, g: int, level_row: int, target_col: int, *,
     span = abs(base_row - level_row)
     if span < 3:
         raise InvalidParam(f"clause bar {span} rows from the variable row; needs >= 3")
-    up = level_row < base_row
-    wire_forward = "U" if up else "D"
+    wire_forward = "U" if level_row < base_row else "D"
 
     all_cols = sorted(c for pts in attach_points.values() for _, c in pts)
     if len(set(all_cols)) != len(all_cols):
         raise InvalidParam("attach columns must be distinct")
 
     bar = make_bar(level_row, all_cols[0], all_cols[-1], target_col, g,
-                   len(attach_points) * g, kind="clause-or", gadget_id=gadget_id + ".or")
+                   len(attach_points) * g, forward="R", kind="clause-or",
+                   gadget_id=gadget_id + ".or")
 
-    shifted_wire = span % 2 == 0
-    b_wire = (span - 1 - (1 if shifted_wire else 0)) // 2
     wires = []
     chains = []
     for label, pts in attach_points.items():
         group = []
         for wi, (_, ac) in enumerate(pts):
-            rear = (base_row + (1 if up else -1), ac)
-            wire = make_threshold(rear, "V", wire_forward, b_wire, 1,
-                                  shifted=shifted_wire, fillable=1, kind="wire",
-                                  gadget_id=f"{gadget_id}.v{label}.w{wi}")
-            if wire.target != (level_row, ac):
-                raise ParityMismatch("wire target does not meet the bar row")
+            wire = make_bar(ac, base_row, base_row, level_row, 1, 1, forward=wire_forward,
+                            kind="wire", gadget_id=f"{gadget_id}.v{label}.w{wi}")
             chains.append(chain(wire, bar))
             group.append(wire)
         wires.append(tuple(group))

@@ -26,14 +26,17 @@ inputs.
   where a final vertical AND (k=2) drops to the puzzle target near the
   bottom right.  Shift gadgets absorb every parity mismatch: a clause bar
   is shifted when its thickness is odd, a propagator when its crossover
-  count is even, and the extreme ANDs as their extension to the shared
+  count is odd, and the extreme ANDs as their extension to the shared
   column demands.
 
 Every clause's bar and thick wires come from gadgets.make_clause; the
-reducer chooses the wire columns, the bar row and the corridor, checks that
-each wire attaches inside its variable's window, and records the reads.
-Clause ORs and both extreme ANDs are gadgets.make_bar bars: given the first
-and last input columns and the target column, it alone decides the shift.
+reducer chooses the wire columns, the bar row and the corridor and records
+the reads.  Every gadget except the variable strips and the crossovers is a
+gadgets.make_bar bar: wires, clause ORs, propagators, the extreme ANDs (or
+emitters) and the final AND.  Given the first and last input positions and
+the target, make_bar alone decides the shift and the gap count, so compile
+derives neither; a propagator starts x squares short of its AND row and
+its x crossovers carry it there, which chain() confirms.
 
 The plan is built once, in immutable records: _plan_clauses gives each
 clause a _ClausePlan (its variable positions, the bars its propagator
@@ -66,12 +69,11 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .board import Board, Move
-from .errors import (EmbeddingInvalid, LayoutOverflow, ParityUnfixable,
-                     UnsatisfiedAssignment)
+from .errors import EmbeddingInvalid, UnsatisfiedAssignment
 from .gadgets import (ChainedPair, CrossoverSpec, GadgetBlueprint, ReadLink,
                       VariableBlueprint, chain, instantiate, make_bar,
-                      make_clause, make_crossover, make_threshold,
-                      make_variable, rect_union, rects_intersect)
+                      make_clause, make_crossover, make_variable, rect_union,
+                      rects_intersect)
 from .rpm3sat import (Embedding, Formula, NEGATIVE, POSITIVE, auto_embed,
                       validate_embedding)
 
@@ -317,26 +319,15 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
         bar, wires, links = make_clause(attach, p.g, row, corridor[p.ci], gadget_id=cid)
         chains.extend(links)
         for vp, tw in zip(p.var_positions, wires):
-            vb = variables[vp].blueprint
-            lo, hi = (vb.right_window if up else vb.left_window)
-            for wire in tw:
-                col = wire.origin[1]
-                if not lo <= col <= hi:
-                    raise LayoutOverflow(
-                        f"wire column {col} outside attach window {(lo, hi)}")
-                reads.append(ReadLink(vb, wire, "R" if up else "L"))
+            reads.extend(ReadLink(variables[vp].blueprint, wire, "R" if up else "L")
+                         for wire in tw)
 
-        # propagator: rear gap on the bar's target, target on the AND row
-        # (before its crossover adjustments it stops x short of it)
-        r_and = and_row[p.polarity]
-        span = abs(row - r_and)
-        gaps = (span - 1 - p.x_prop - p.prop_shift) // 2
-        if (span - 1 - p.x_prop - p.prop_shift) % 2 or gaps < 1 + p.x_prop:
-            raise ParityUnfixable(f"propagator span for clause {p.ci} is inconsistent")
-        rear = (row + 1 if up else row - 1, corridor[p.ci])
-        prop = make_threshold(rear, "V", "U" if up else "D", gaps, 1,
-                              shifted=bool(p.prop_shift), fillable=1,
-                              kind="propagator", gadget_id=f"{cid}.prop")
+        # propagator: first source on the bar's target; each crossover moves
+        # its target one square, so it starts x short of the AND row
+        short = p.x_prop if up else -p.x_prop
+        prop = make_bar(corridor[p.ci], row, row, and_row[p.polarity] + short, 1, 1,
+                        forward="U" if up else "D", kind="propagator",
+                        gadget_id=f"{cid}.prop")
         chains.append(chain(bar, prop))
         placed += [bar, *(w for tw in wires for w in tw), prop]
         records.append(ClauseRecord(
@@ -345,15 +336,9 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
 
     # crossovers, now that every bar exists
     for p in plans:
-        rec = records[p.ci]
         for di in p.crossed:
             point = (bar_row(plans[di]), corridor[p.ci])
-            crossovers.append(make_crossover(records[di].bar, rec.propagator, point))
-        wanted = (and_row[p.polarity], corridor[p.ci])
-        if rec.propagator.target != wanted:
-            raise ParityUnfixable(
-                f"propagator for clause {p.ci} ends at {rec.propagator.target}, "
-                f"wanted {wanted}")
+            crossovers.append(make_crossover(records[di].bar, records[p.ci].propagator, point))
 
     # final column: right of every placed bounding box
     final_col = max(bp.bbox[3] for bp in placed) + MARGIN + 1
@@ -370,13 +355,14 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
         if not members:
             # degenerate side: a constant-true emitter, a wire whose single
             # source is pre-filled on the board
-            origin = (row, final_col - 4)
-            return make_threshold(origin, "H", "R", 1, 1, fillable=1,
-                                  kind="emitter", gadget_id=gid,
-                                  prefilled=((row, final_col - 3),))
+            bp = make_bar(row, final_col - 3, final_col - 3, final_col, 1, 1,
+                          forward="R", kind="emitter", gadget_id=gid)
+            bp.prefilled = bp.sources
+            return bp
         cols = sorted(corridor[rec.index] for rec in members)
         k = len(members)
-        bp = make_bar(row, cols[0], cols[-1], final_col, k, k, kind="and", gadget_id=gid)
+        bp = make_bar(row, cols[0], cols[-1], final_col, k, k, forward="R",
+                      kind="and", gadget_id=gid)
         for rec in members:
             chains.append(chain(rec.propagator, bp))
         return bp
@@ -384,10 +370,8 @@ def compile(formula: Formula, embedding: Embedding | None = None) -> CompiledPuz
     upper = make_and(POSITIVE)
     lower = make_and(NEGATIVE)
 
-    span = and_row[NEGATIVE] - and_row[POSITIVE]
-    final = make_threshold((and_row[POSITIVE] - 1, final_col), "V", "D",
-                           span // 2 + 1, 2, fillable=2, kind="final",
-                           gadget_id="final")
+    final = make_bar(final_col, and_row[POSITIVE], and_row[NEGATIVE], and_row[NEGATIVE] + 4,
+                     2, 2, forward="D", kind="final", gadget_id="final")
     chains.append(chain(upper, final))
     chains.append(chain(lower, final))
 
@@ -422,7 +406,8 @@ def intended_solution(puzzle: CompiledPuzzle, assignment) -> list[Move]:
     """
     formula = puzzle.formula
     if len(assignment) != formula.num_vars:
-        raise UnsatisfiedAssignment("assignment length mismatch")
+        raise UnsatisfiedAssignment(
+            f"assignment has {len(assignment)} values, formula has {formula.num_vars}")
     if not formula.evaluate(tuple(assignment)):
         raise UnsatisfiedAssignment("assignment does not satisfy the formula")
 
@@ -482,7 +467,15 @@ def audit_bboxes(puzzle: CompiledPuzzle) -> list[AuditViolation]:
 
 
 def check_certificate(puzzle: CompiledPuzzle) -> list[str]:
-    """Structural invariants of a compiled puzzle; empty when sound."""
+    """Structural invariants of a compiled puzzle; empty when sound.
+
+    Checks that each clause's thickness is its crossings plus one, that
+    clause bars share row parity, that every crossover is a plus of tiles
+    around an empty square, that every chain anchor is a source downstream,
+    that each read's anchor column lies in its variable's window on its
+    side, that certificate and board agree on tile ownership, and that only
+    the extreme and final ANDs reach the target column.
+    """
     cert = puzzle.certificate
     board = puzzle.board
     problems = []
@@ -507,6 +500,13 @@ def check_certificate(puzzle: CompiledPuzzle) -> list[str]:
         if link.anchor not in link.downstream.sources:
             problems.append(f"chain {link.upstream.gadget_id}->{link.downstream.gadget_id} "
                             "anchor mismatch")
+
+    for read in cert.reads:
+        var = read.variable
+        lo, hi = var.right_window if read.side == "R" else var.left_window
+        if not lo <= read.anchor[1] <= hi:
+            problems.append(f"read {var.gadget_id}->{read.wire.gadget_id} at column "
+                            f"{read.anchor[1]} outside the {read.side} window {(lo, hi)}")
 
     owners: dict[tuple[int, int], str] = {}
     for bp in cert.gadget_blueprints():

@@ -195,6 +195,20 @@ def test_intended_trace_replays_to_a_solved_board(tmp_path, capsys, compiled):
     assert capsys.readouterr().err == "solved=yes\n"
 
 
+@pytest.mark.parametrize("text, reason", [("1\n", "assignment has 1 values, formula has 2"),
+                                          ("0 0\n", "does not satisfy the formula")],
+                         ids=["too-short", "unsatisfying"])
+def test_unusable_assignment_is_refused_without_a_trace(tmp_path, capsys, compiled,
+                                                       text, reason):
+    instance, _, cert = compiled
+    assignment, trace = tmp_path / "assign.txt", tmp_path / "two.trace"
+    assignment.write_text(text, encoding="utf-8")
+    assert main(["intended", instance, cert, str(assignment), str(trace)]) == 1
+    [line] = error_lines(capsys)
+    assert line.startswith("error: UnsatisfiedAssignment: ") and reason in line
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("text, token, lineno", [("banana 0\n", "banana", 1),
                                                  ("0\n1 2\n", "2", 2)],
                          ids=["word", "digit-on-line-2"])

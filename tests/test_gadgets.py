@@ -300,6 +300,13 @@ class TestCrossover:
         with pytest.raises(ParityMismatch):
             make_crossover(h, v, (6, 8))
 
+    def test_vertical_without_a_spare_source_rejected(self):
+        # gaps = k = 1: crossing its one source would leave it no input
+        h = make_threshold((8, 4), "H", "R", 3, 1)
+        v = make_threshold((9, 7), "V", "U", 1, 1)
+        with pytest.raises(InvalidParam, match="lacks sources"):
+            make_crossover(h, v, (8, 7))
+
 
 # (variable row, bar row): odd and even spans (even ones need shifted
 # wires), bars above and below the variable row
@@ -409,29 +416,60 @@ class TestClause:
 
 
 class TestBar:
-    def bar(self, first, last_input, target_col, k=2):
+    """Positions are given as for a bar running R or D along line 4; U and L
+    bars get them mirrored about 12, so all four directions share one shape."""
+
+    def pos(self, forward, p):
+        return p if forward in "RD" else 24 - p
+
+    def at(self, forward, p):
+        p = self.pos(forward, p)
+        return (4, p) if forward in "RL" else (p, 4)
+
+    def bar(self, first, last_input, target, k=2, forward="R"):
         """An extreme-AND-shaped bar: every one of its k inputs is fillable."""
-        return make_bar(4, first, last_input, target_col, k, k,
-                        kind="and", gadget_id="and")
+        return make_bar(4, *(self.pos(forward, p) for p in (first, last_input, target)),
+                        k, k, forward=forward, kind="and", gadget_id="and")
 
     @pytest.mark.parametrize("target_col, shifted", [(11, False), (12, True),
                                                       (13, False), (14, True)])
     def test_shift_follows_target_column_parity(self, target_col, shifted):
-        # inputs at columns 3 and 7: the nearest target is k+1 beyond tile 8
-        bar = self.bar(3, 7, target_col)
-        assert bar.shifted == shifted
-        assert bar.origin == (4, 2) and bar.target == (4, target_col)
-        assert {(4, 3), (4, 7)} <= set(bar.sources)
-        assert (bar.k, bar.kind) == (2, "and")
+        # inputs at 3 and 7: the nearest target is k+1 beyond tile 8
+        for forward in "URDL":
+            bar = self.bar(3, 7, target_col, forward=forward)
+            assert bar.shifted == shifted, forward
+            assert bar.origin == self.at(forward, 2), forward  # one behind the first input
+            assert bar.target == self.at(forward, target_col), forward
+            assert {self.at(forward, 3), self.at(forward, 7)} <= set(bar.sources)
+            assert (bar.k, bar.kind, bar.forward) == (2, "and", forward)
 
     def test_target_one_column_too_near_rejected(self):
-        with pytest.raises(ParityMismatch):
-            self.bar(3, 7, 10)
+        for forward in "URDL":
+            with pytest.raises(ParityMismatch):
+                self.bar(3, 7, 10, forward=forward)
 
     def test_inputs_of_mixed_column_parity_rejected(self):
-        # column 10 would be a tile of any bar whose rear tile sits at 2
-        with pytest.raises(ParityMismatch):
-            self.bar(3, 10, 20, k=1)
+        # position 10 would be a tile of any bar whose rear tile sits at 2
+        for forward in "URDL":
+            with pytest.raises(ParityMismatch):
+                self.bar(3, 10, 20, k=1, forward=forward)
+
+    @pytest.mark.parametrize("forward", "UD")
+    @pytest.mark.parametrize("span", [3, 4, 5, 6, 9])
+    def test_vertical_wire_matches_the_hand_built_one(self, forward, span):
+        # a clause wire: rear tile one row behind the variable row, its first
+        # source on the attach square, its target on the bar row
+        base_row, ac = 20, 6
+        step = -1 if forward == "U" else 1
+        level_row = base_row + step * span
+        shift = span % 2 == 0
+        hand = make_threshold((base_row - step, ac), "V", forward, (span - 1 - shift) // 2, 1,
+                              shifted=shift, fillable=1)
+        bar = make_bar(ac, base_row, base_row, level_row, 1, 1, forward=forward,
+                       kind="wire", gadget_id="")
+        assert (bar.tiles, bar.sources, bar.target, bar.bbox) == \
+            (hand.tiles, hand.sources, hand.target, hand.bbox)
+        assert bar.target == (level_row, ac)
 
 
 class TestInstantiate:

@@ -155,3 +155,14 @@ def test_clause_free_formula_compiles_to_two_emitters(n):
     for value in (False, True):
         moves = reducer.intended_solution(puzzle, (value,) * n)
         assert is_solved(replay(puzzle.board, moves))
+
+
+def test_read_outside_its_window_is_a_certificate_problem():
+    puzzle = reducer.compile(rpm3sat.parse_instance("p rpm3sat 2\npos 1 2\nneg 1\n")[0])
+    strip = puzzle.certificate.variables[0].blueprint
+    lo, hi = strip.right_window
+    strip.right_window = (lo + 100, hi + 100)
+    [read] = [r for r in puzzle.certificate.reads if r.variable is strip and r.side == "R"]
+    [problem] = reducer.check_certificate(puzzle)
+    assert f"read {strip.gadget_id}->{read.wire.gadget_id} " in problem
+    assert f"window {(lo + 100, hi + 100)}" in problem
